@@ -105,10 +105,6 @@ class ClientSiteState:
     products: tuple[str, ...] = ()
 
 
-def empty_site_state(machine_id: str) -> ClientSiteState:
-    return ClientSiteState(machine_id=machine_id)
-
-
 def derive_products(units) -> tuple[str, ...]:
     """Products present on a site: those with >= 1 installed/active unit."""
     seen = []

@@ -19,7 +19,7 @@ from .errors import (
     UnknownUnitError,
 )
 from .expr import Expression, Status
-from .model import ChangeEvent, DeployedUnit, resolve_targets
+from .model import ChangeEvent, DeployedUnit, Machine, MachineKind, resolve_targets
 from .process import (
     Activity,
     ActivityKind,
@@ -40,6 +40,7 @@ from .universe import (
     DeployMode,
     DeploymentRecord,
     Universe,
+    query_status,
     record_deployment,
     set_site_state,
 )
@@ -180,22 +181,22 @@ def _catalog_candidates(u: Universe, product_id: str) -> dict[str, PackagedUnit]
 def _make_fetcher(u: Universe, fleet):
     def fetch(unit_id: str, resource_name: str):
         for server in sorted(u.catalog):
-            if any(unit.id == unit_id for unit in u.catalog[server]):
-                return fleet.servers[server].fetch_resource(unit_id, resource_name)
+            for unit in u.catalog[server]:
+                if unit.id == unit_id:
+                    return fleet.servers[server].fetch_resource(unit, resource_name)
         raise UnknownUnitError(f"no server holds unit {unit_id!r}")
 
     return fetch
 
 
-def _site_view(site_id, handle):
-    """Machine-shaped view over a live site handle for constraint checks."""
-
-    class _View:
-        id = site_id
-        properties = handle.get_properties()
-        standing_constraints = tuple(handle.get_constraints())
-
-    return _View()
+def _site_view(site_id, handle) -> Machine:
+    """The live site as a machine value, for constraint checks."""
+    return Machine(
+        site_id,
+        MachineKind.CLIENT_SITE,
+        handle.get_properties(),
+        tuple(handle.get_constraints()),
+    )
 
 
 def _parse_filters(texts) -> tuple[Expression, ...]:
@@ -576,7 +577,7 @@ def status(
 ) -> FleetReport:
     """Read-only aggregation over deployment records."""
     entries = []
-    for r in _query(u, site, product, outcome, mode):
+    for r in query_status(u, site=site, product=product, outcome=outcome, mode=mode):
         entries.append(
             SiteOutcome(
                 r.site_id,
@@ -587,9 +588,3 @@ def status(
             )
         )
     return FleetReport(tuple(entries))
-
-
-def _query(u, site, product, outcome, mode):
-    from .universe import query_status
-
-    return query_status(u, site=site, product=product, outcome=outcome, mode=mode)

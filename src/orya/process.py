@@ -19,7 +19,6 @@ from typing import Callable, Protocol
 
 from . import expr as expr_mod
 from .errors import IllegalTransitionError, StepFailure
-from .expr import EvalOutcome, Expression
 
 # ---------------------------------------------------------------------------
 # Lifecycle
@@ -466,20 +465,6 @@ def execute(p: ProcessDef, ctx: ExecutionContext, executor: PrimitiveExecutor) -
 
 # ---------------------------------------------------------------------------
 # Helpers
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    outcome: EvalOutcome | None = None
-
-
-def verify_step(expr: Expression | None, site_props: dict) -> VerifyResult:
-    """In-process success check: Satisfied passes, anything else fails."""
-    if expr is None:
-        return VerifyResult(True)
-    outcome = expr_mod.evaluate(expr, site_props)
-    return VerifyResult(outcome.is_satisfied, outcome)
 
 
 def default_process_for(unit) -> ProcessDef:

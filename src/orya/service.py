@@ -12,13 +12,14 @@ import json
 import socket
 import socketserver
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 from . import orchestrator as orch
 from .errors import OryaError
 from .model import apply_property_change, enterprise_to_json, lookup_machine, validate_enterprise
 from .safety import SafetyPolicy
-from .simharness import build_fleet, sync_properties
+from .simharness import Fleet, build_fleet, sync_properties
 from .units import unit_from_json
 from .universe import (
     Universe,
@@ -28,6 +29,7 @@ from .universe import (
     save_universe,
     universe_digest,
 )
+from .values import value_from_json
 
 # Outcomes that count as "the operation did something" for exit-code purposes.
 POSITIVE_OUTCOMES = {
@@ -66,7 +68,11 @@ class LocalEngine:
     def reload(self) -> None:
         self.universe = open_universe(self.store)
 
-    def _commit(self, u: Universe, fleet=None) -> None:
+    def _fleet(self, u: Universe) -> Fleet:
+        """The fleet a write op runs on: a fresh one per op over ``u``."""
+        return build_fleet(u)
+
+    def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
         if fleet is not None:
             u = sync_properties(u, fleet)
         save_universe(u, self.store)
@@ -112,10 +118,10 @@ class LocalEngine:
     # -- deployment -------------------------------------------------------------
 
     def op_deploy(self, req):
-        fleet = build_fleet(self.universe)
         target = req.get("group") or tuple(req.get("sites", ()))
         if not target:
             return _error("USAGE", "deploy needs a group or at least one site")
+        fleet = self._fleet(self.universe)
         request = orch.DeployRequest(
             target=target,
             product_id=req["product"],
@@ -129,7 +135,7 @@ class LocalEngine:
         return _report_response(report)
 
     def op_pull(self, req):
-        fleet = build_fleet(self.universe)
+        fleet = self._fleet(self.universe)
         u, report = orch.pull_update(
             self.universe,
             req["site"],
@@ -141,7 +147,7 @@ class LocalEngine:
         return _report_response(report)
 
     def op_undeploy(self, req):
-        fleet = build_fleet(self.universe)
+        fleet = self._fleet(self.universe)
         u, report = orch.undeploy(
             self.universe, req["site"], req["unit"], fleet, force=bool(req.get("force", False))
         )
@@ -155,16 +161,12 @@ class LocalEngine:
         return self._activation(req, orch.deactivate)
 
     def _activation(self, req, fn):
-        fleet = build_fleet(self.universe)
+        fleet = self._fleet(self.universe)
         u, report = fn(self.universe, req["site"], req["unit"], fleet)
         self._commit(u, fleet)
         return _report_response(report)
 
     def op_set_prop(self, req):
-        from dataclasses import replace as _replace
-
-        from .values import value_from_json
-
         site_id = req["site"]
         machine = lookup_machine(self.universe.enterprise, site_id)
         if req.get("remove"):
@@ -176,11 +178,8 @@ class LocalEngine:
         machines = tuple(
             machine if m.id == site_id else m for m in self.universe.enterprise.machines
         )
-        u = _replace(
-            self.universe, enterprise=_replace(self.universe.enterprise, machines=machines)
-        )
-
-        fleet = build_fleet(u)
+        u = replace(self.universe, enterprise=replace(self.universe.enterprise, machines=machines))
+        fleet = self._fleet(u)
         result = orch.on_property_change(
             u, site_id, event, fleet, apply=bool(req.get("apply", False))
         )
@@ -205,6 +204,26 @@ class LocalEngine:
 
     def op_digest(self, req):
         return {"ok": True, "digest": universe_digest(self.universe)}
+
+
+class ScenarioEngine(LocalEngine):
+    """The same ops over an in-memory universe and one live fleet; nothing is
+    saved. The fleet's clock, armed faults and site files carry across ops."""
+
+    def __init__(self, u: Universe, fleet: Fleet):
+        self.universe = u
+        self.fleet = fleet
+
+    def _fleet(self, u: Universe) -> Fleet:
+        # The live sites take the op's view of their properties (a set_prop).
+        for m in u.enterprise.machines:
+            site = self.fleet.sites.get(m.id)
+            if site is not None:
+                site.properties = dict(m.properties)
+        return self.fleet
+
+    def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
+        self.universe = sync_properties(u, self.fleet)
 
 
 # ---------------------------------------------------------------------------

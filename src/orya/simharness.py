@@ -1,41 +1,48 @@
-"""Deterministic simulated fleet: in-process app servers and client sites.
+"""Deterministic simulated fleet: in-process app servers and client sites,
+plus the scenario runner that drives the engine over one such fleet.
 
-Sites keep a flat keyed file namespace instead of a real filesystem, consume
-integer virtual-clock ticks per primitive, and support bit-exact snapshot and
-restore (the compensation oracle). Fault plans arm step-level failures by
-step path or primitive kind with an occurrence index.
+Sites hold the store's own frozen ``DeployedUnit`` values and a flat keyed
+file namespace instead of a real filesystem, consume integer virtual-clock
+ticks per primitive, and support bit-exact snapshot and restore (the
+compensation oracle). App servers hold no unit table: the deployment service
+hands them the catalog unit whose resource it fetches. Fault plans arm
+step-level failures by step path or primitive kind with an occurrence index.
+
+A scenario script is a list of service ops, spelled with dashes, run through
+``LocalEngine.handle`` over an in-memory universe and one live fleet; ``inject``
+(arm faults) is the only harness-only command. A step the engine refuses stops
+the run with the engine's error code.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import orchestrator as orch
-from .errors import StepFailure, UnknownUnitError
+from .errors import OryaError, StepFailure, UnknownUnitError
 from .expr import DISK_FREE, evaluate, parse_expression
 from .model import (
     ClientSiteState,
     DeployedUnit,
+    Machine,
     MachineKind,
     apply_property_change,
+    deployed_unit_from_json,
+    deployed_unit_to_json,
     derive_products,
     enterprise_from_json,
     validate_enterprise,
 )
 from .process import ActivityKind, LifecycleState, transition
-from .roles import ResourcePayload
-from .safety import SafetyPolicy
-from .units import unit_from_json
+from .units import PackagedUnit, unit_from_json
 from .universe import (
     Universe,
     empty_universe,
     publish_unit,
     universe_digest,
 )
-from .values import Size, Version, value_from_json, value_to_json
+from .values import Size, value_from_json, value_to_json
 
 
 class VirtualClock:
@@ -82,12 +89,41 @@ class CallLogEntry:
         }
 
 
+@dataclass(frozen=True)
+class ResourcePayload:
+    """Simulated resource content: identity plus size and digest."""
+
+    unit_id: str
+    name: str
+    size: Size
+    digest: str
+
+
 # ---------------------------------------------------------------------------
 # Simulated client site
 
 
+def _deployed(unit: PackagedUnit, state: LifecycleState) -> DeployedUnit:
+    """The retained footprint of ``unit`` once it lands on a site."""
+    return DeployedUnit(
+        unit_id=unit.id,
+        product_id=unit.product_id,
+        version=unit.product_version,
+        state=state.value,
+        footprint=unit.footprint,
+        provides=unit.provides,
+        requires=unit.requires,
+        constraints=unit.constraints,
+    )
+
+
+def _moved(entry: DeployedUnit | None, unit: PackagedUnit, state: LifecycleState) -> DeployedUnit:
+    """``entry`` in ``state``, or ``unit`` newly placed on the site in ``state``."""
+    return replace(entry, state=state.value) if entry else _deployed(unit, state)
+
+
 class SimulatedSite:
-    """In-process client site honoring the client-site role contract."""
+    """In-process client site: properties, constraints, state, primitives."""
 
     def __init__(self, machine_id, properties, constraints, clock, call_log, state=None):
         self.machine_id = machine_id
@@ -95,12 +131,11 @@ class SimulatedSite:
         self.constraints = list(constraints)
         self.clock = clock
         self.call_log = call_log
-        self.units: dict[str, dict] = {}
+        self.units: dict[str, DeployedUnit] = {
+            du.unit_id: du for du in (state.deployed_units if state else ())
+        }
         self.files: dict[str, str] = {}
         self._faults: list[dict] = []
-        if state is not None:
-            for du in state.deployed_units:
-                self.units[du.unit_id] = _entry_from_deployed(du)
 
     # -- role surface -------------------------------------------------------
 
@@ -110,8 +145,8 @@ class SimulatedSite:
 
     def set_property(self, name, value=None, *, remove=False):
         self._log("set_property", name)
-        machine_view = _MachineView(self.machine_id, self.properties)
-        updated, event = apply_property_change(machine_view, name, value, remove=remove)
+        machine = Machine(self.machine_id, MachineKind.CLIENT_SITE, self.properties)
+        updated, event = apply_property_change(machine, name, value, remove=remove)
         self.properties = dict(updated.properties)
         return event
 
@@ -119,37 +154,24 @@ class SimulatedSite:
         self._log("get_constraints", "")
         return list(self.constraints)
 
-    def set_constraint(self, text):
-        parse_expression(text)  # reject unparseable constraints
-        self._log("set_constraint", text)
-        self.constraints.append(text)
-
     def get_state(self) -> ClientSiteState:
-        units = tuple(
-            _deployed_from_entry(self.units[k]) for k in sorted(self.units)
-        )
-        return ClientSiteState(
-            machine_id=self.machine_id,
-            deployed_units=units,
-            products=derive_products(units),
-        )
+        units = tuple(self.units[k] for k in sorted(self.units))
+        return ClientSiteState(self.machine_id, units, derive_products(units))
 
     def snapshot(self) -> dict:
-        """Bit-exact state capture: compare snapshots with ``==``."""
-        return copy.deepcopy(
-            {
-                "properties": {k: value_to_json(v) for k, v in sorted(self.properties.items())},
-                "constraints": list(self.constraints),
-                "units": {k: self.units[k] for k in sorted(self.units)},
-                "files": {k: self.files[k] for k in sorted(self.files)},
-            }
-        )
+        """Bit-exact state capture as plain JSON: compare snapshots with ``==``."""
+        return {
+            "properties": {k: value_to_json(v) for k, v in sorted(self.properties.items())},
+            "constraints": list(self.constraints),
+            "units": {k: deployed_unit_to_json(self.units[k]) for k in sorted(self.units)},
+            "files": dict(sorted(self.files.items())),
+        }
 
     def restore(self, snap: dict) -> None:
         self.properties = {k: value_from_json(v) for k, v in snap["properties"].items()}
         self.constraints = list(snap["constraints"])
-        self.units = copy.deepcopy(snap["units"])
-        self.files = copy.deepcopy(snap["files"])
+        self.units = {k: deployed_unit_from_json(d) for k, d in snap["units"].items()}
+        self.files = dict(snap["files"])
 
     # -- fault injection ----------------------------------------------------
 
@@ -176,82 +198,73 @@ class SimulatedSite:
         self._check_fault(path, kind)
 
         entry = self.units.get(unit_id)
-        state = LifecycleState(entry["state"]) if entry else LifecycleState.ABSENT
+        state = LifecycleState(entry.state) if entry else LifecycleState.ABSENT
         new_state = transition(state, kind)  # raises IllegalTransitionError
 
         if kind is ActivityKind.TRANSFER:
             payload = ctx.params.get("_payload")
             resource = activity.param("resource")
             created = entry is None
-            if created:
-                entry = _entry_from_unit(ctx.unit, LifecycleState.STAGED)
-                self.units[unit_id] = entry
             key = f"staged/{unit_id}/{resource}"
             self.files[key] = payload.digest if payload is not None else ""
-            entry["state"] = new_state.value
+            self.units[unit_id] = _moved(entry, ctx.unit, new_state)
             return {"kind": kind.value, "unit": unit_id, "key": key, "created": created}
 
         if kind is ActivityKind.INSTALL:
-            created = entry is None
-            if created:  # resourceless unit installing straight from absent
-                entry = _entry_from_unit(ctx.unit, LifecycleState.INSTALLED)
-                self.units[unit_id] = entry
+            created = entry is None  # resourceless unit installing straight from absent
+            entry = self.units[unit_id] = _moved(entry, ctx.unit, new_state)
             staged = [k for k in sorted(self.files) if k.startswith(f"staged/{unit_id}/")]
             for key in staged:
                 self.files[key.replace("staged/", "installed/", 1)] = self.files.pop(key)
-            self._adjust_disk(-entry["footprint"])
-            entry["state"] = new_state.value
+            self._adjust_disk(-entry.footprint.count)
             return {
                 "kind": kind.value,
                 "unit": unit_id,
                 "created": created,
                 "staged": staged,
-                "footprint": entry["footprint"],
+                "footprint": entry.footprint.count,
             }
 
         if kind in (ActivityKind.ACTIVATE, ActivityKind.DEACTIVATE):
-            prior = entry["state"]
-            entry["state"] = new_state.value
-            return {"kind": kind.value, "unit": unit_id, "prior": prior}
+            self.units[unit_id] = replace(entry, state=new_state.value)
+            return {"kind": kind.value, "unit": unit_id, "prior": entry.state}
 
         if kind is ActivityKind.CONFIGURE:
-            prior = dict(entry["config"])
             params = activity.param("params") or {}
-            entry["config"].update({str(k): str(v) for k, v in params.items()})
-            return {"kind": kind.value, "unit": unit_id, "prior": prior}
+            config = dict(entry.config) | {str(k): str(v) for k, v in params.items()}
+            self.units[unit_id] = replace(entry, config=tuple(sorted(config.items())))
+            return {"kind": kind.value, "unit": unit_id, "prior": entry.config}
 
         if kind is ActivityKind.UPDATE:
             new_unit = ctx.params.get("_new_unit")
             if new_unit is None:
                 raise StepFailure("update: no replacement unit supplied")
-            prior_entry = copy.deepcopy(entry)
             prior_files = {
                 k: v for k, v in self.files.items() if k.startswith(f"installed/{unit_id}/")
             }
-            for k in list(prior_files):
+            for k in prior_files:
                 del self.files[k]
             del self.units[unit_id]
-            fresh = _entry_from_unit(new_unit, LifecycleState.INSTALLED)
+            fresh = _deployed(new_unit, LifecycleState.INSTALLED)
             self.units[new_unit.id] = fresh
             for r in new_unit.resources:
                 self.files[f"installed/{new_unit.id}/{r.name}"] = r.digest
-            self._adjust_disk(prior_entry["footprint"] - fresh["footprint"])
+            self._adjust_disk(entry.footprint.count - fresh.footprint.count)
             ctx.params["unit_id"] = new_unit.id  # later steps address the new unit
             return {
                 "kind": kind.value,
-                "old_entry": prior_entry,
+                "old_entry": entry,
                 "old_files": prior_files,
                 "old_unit": unit_id,
                 "new_unit": new_unit.id,
             }
 
         if kind is ActivityKind.UNINSTALL:
-            removed = copy.deepcopy(entry)
             for k in list(self.files):
                 if k.startswith(f"installed/{unit_id}/"):
                     del self.files[k]
             del self.units[unit_id]
-            self._adjust_disk(removed["footprint"])
+            self._adjust_disk(entry.footprint.count)
             return None  # non-compensable pivot
 
         if kind is ActivityKind.COPY:
@@ -293,17 +306,17 @@ class SimulatedSite:
             if token["created"]:
                 self.units.pop(unit_id, None)
             elif entry is not None:
-                entry["state"] = LifecycleState.STAGED.value
+                self.units[unit_id] = replace(entry, state=LifecycleState.STAGED.value)
             return
         if kind is ActivityKind.ACTIVATE or kind is ActivityKind.DEACTIVATE:
             entry = self.units.get(token["unit"])
             if entry is not None:
-                entry["state"] = token["prior"]
+                self.units[token["unit"]] = replace(entry, state=token["prior"])
             return
         if kind is ActivityKind.CONFIGURE:
             entry = self.units.get(token["unit"])
             if entry is not None:
-                entry["config"] = dict(token["prior"])
+                self.units[token["unit"]] = replace(entry, config=token["prior"])
             return
         if kind is ActivityKind.UPDATE:
             new_id = token["new_unit"]
@@ -311,10 +324,10 @@ class SimulatedSite:
             for k in list(self.files):
                 if k.startswith(f"installed/{new_id}/"):
                     del self.files[k]
-            self.units[token["old_unit"]] = copy.deepcopy(token["old_entry"])
+            self.units[token["old_unit"]] = token["old_entry"]
             self.files.update(token["old_files"])
             if fresh is not None:
-                self._adjust_disk(fresh["footprint"] - token["old_entry"]["footprint"])
+                self._adjust_disk(fresh.footprint.count - token["old_entry"].footprint.count)
             ctx.params["unit_id"] = token["old_unit"]
             return
         if kind is ActivityKind.COPY:
@@ -338,100 +351,25 @@ class SimulatedSite:
         )
 
 
-@dataclass(frozen=True)
-class _MachineView:
-    """Just enough machine shape for apply_property_change."""
-
-    id: str
-    properties: dict
-
-
-def _entry_from_unit(unit, state: LifecycleState) -> dict:
-    return {
-        "unit": unit.id,
-        "product": unit.product_id,
-        "version": str(unit.product_version),
-        "state": state.value,
-        "footprint": unit.footprint.count,
-        "provides": [[n, str(v)] for n, v in unit.provides],
-        "requires": [[n, str(v)] for n, v in unit.requires],
-        "constraints": list(unit.constraints),
-        "config": {},
-    }
-
-
-def _entry_from_deployed(du: DeployedUnit) -> dict:
-    return {
-        "unit": du.unit_id,
-        "product": du.product_id,
-        "version": str(du.version),
-        "state": du.state,
-        "footprint": du.footprint.count,
-        "provides": [[n, str(v)] for n, v in du.provides],
-        "requires": [[n, str(v)] for n, v in du.requires],
-        "constraints": list(du.constraints),
-        "config": {k: v for k, v in du.config},
-    }
-
-
-def _deployed_from_entry(entry: dict) -> DeployedUnit:
-    return DeployedUnit(
-        unit_id=entry["unit"],
-        product_id=entry["product"],
-        version=Version.parse(entry["version"]),
-        state=entry["state"],
-        footprint=Size(entry["footprint"]),
-        provides=tuple((n, Version.parse(v)) for n, v in entry["provides"]),
-        requires=tuple((n, Version.parse(v)) for n, v in entry["requires"]),
-        constraints=tuple(entry["constraints"]),
-        config=tuple(sorted(entry["config"].items())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Simulated app server
 
 
 class SimulatedAppServer:
-    def __init__(self, server_id, units, clock, call_log):
+    """Serves resources of the catalog units the deployment service names."""
+
+    def __init__(self, server_id, clock, call_log):
         self.server_id = server_id
-        self.units = {u.id: u for u in units}
         self.clock = clock
         self.call_log = call_log
 
-    def list_units(self):
-        self._log("list_units", "")
-        return sorted(self.units)
-
-    def add_unit(self, unit):
-        self._log("add_unit", unit.id)
-        if unit.id in self.units:
-            raise UnknownUnitError(f"unit {unit.id!r} already present")
-        self.units[unit.id] = unit
-
-    def remove_unit(self, unit_id):
-        self._log("remove_unit", unit_id)
-        if unit_id not in self.units:
-            raise UnknownUnitError(f"unit {unit_id!r} not present")
-        del self.units[unit_id]
-
-    def fetch_resource(self, unit_id, resource_name):
-        self._log("fetch_resource", f"{unit_id}/{resource_name}")
+    def fetch_resource(self, unit: PackagedUnit, resource_name: str) -> ResourcePayload:
+        self._log("fetch_resource", f"{unit.id}/{resource_name}")
         self.clock.advance(1)
-        unit = self.units.get(unit_id)
-        if unit is None:
-            raise UnknownUnitError(f"unit {unit_id!r} not present")
         for r in unit.resources:
             if r.name == resource_name:
-                return ResourcePayload(unit_id, r.name, r.size, r.digest)
-        raise UnknownUnitError(f"resource {resource_name!r} not in unit {unit_id!r}")
-
-    def unit_info(self, unit_id):
-        self._log("unit_info", unit_id)
-        unit = self.units.get(unit_id)
-        if unit is None:
-            raise UnknownUnitError(f"unit {unit_id!r} not present")
-        return unit
+                return ResourcePayload(unit.id, r.name, r.size, r.digest)
+        raise UnknownUnitError(f"resource {resource_name!r} not in unit {unit.id!r}")
 
     def _log(self, method, detail):
         self.call_log.append(
@@ -468,9 +406,7 @@ def build_fleet(u: Universe) -> Fleet:
                 state=u.site_states.get(m.id),
             )
         else:
-            servers[m.id] = SimulatedAppServer(
-                m.id, u.catalog.get(m.id, ()), clock, call_log
-            )
+            servers[m.id] = SimulatedAppServer(m.id, clock, call_log)
     return Fleet(sites=sites, servers=servers, clock=clock, call_log=call_log)
 
 
@@ -480,15 +416,10 @@ def sync_properties(u: Universe, fleet: Fleet) -> Universe:
     for m in u.enterprise.machines:
         site = fleet.sites.get(m.id)
         if site is not None:
-            from dataclasses import replace as _replace
-
-            m = _replace(m, properties=dict(site.properties),
-                         standing_constraints=tuple(site.constraints))
+            m = replace(m, properties=dict(site.properties),
+                        standing_constraints=tuple(site.constraints))
         machines.append(m)
-    from dataclasses import replace as _replace
-
-    enterprise = _replace(u.enterprise, machines=tuple(machines))
-    return _replace(u, enterprise=enterprise)
+    return replace(u, enterprise=replace(u.enterprise, machines=tuple(machines)))
 
 
 def inject(fleet: Fleet, plan) -> Fleet:
@@ -503,6 +434,14 @@ def inject(fleet: Fleet, plan) -> Fleet:
 
 # ---------------------------------------------------------------------------
 # Scenarios
+
+
+class StepRefused(OryaError):
+    """A scenario step the engine answered with an error response."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -561,10 +500,7 @@ def spawn_fleet(scenario: Scenario) -> tuple[Universe, Fleet]:
     report = validate_enterprise(enterprise)
     if not report.ok:
         raise ValueError(f"scenario enterprise invalid: {report.to_json()}")
-    u = empty_universe()
-    from dataclasses import replace as _replace
-
-    u = _replace(u, enterprise=enterprise)
+    u = replace(empty_universe(), enterprise=enterprise)
     for server_id in sorted(scenario.catalog):
         for manifest in scenario.catalog[server_id]:
             u = publish_unit(u, server_id, unit_from_json(manifest))
@@ -573,74 +509,30 @@ def spawn_fleet(scenario: Scenario) -> tuple[Universe, Fleet]:
 
 def run_scenario(source: str | Path | dict) -> ScenarioReport:
     """Execute a scenario script and judge its expect clauses."""
+    from .service import ScenarioEngine  # service imports this module at load time
+
     scenario = (
         Scenario.from_json(source) if isinstance(source, dict) else load_scenario(source)
     )
-    u, fleet = spawn_fleet(scenario)
-    step_reports: dict[str, object] = {}
-
+    engine = ScenarioEngine(*spawn_fleet(scenario))
+    responses: dict[str, dict] = {}
     for index, cmd in enumerate(scenario.script):
-        step_id = cmd.get("id", str(index))
-        u, result = _run_command(u, fleet, cmd)
-        step_reports[step_id] = result
+        response = _run_step(engine, cmd)
+        if not response["ok"]:
+            raise StepRefused(response["error"]["code"], response["error"]["message"])
+        responses[cmd.get("id", str(index))] = response
 
-    u = sync_properties(u, fleet)
-    digest = universe_digest(u)
+    digest = universe_digest(engine.universe)
     results = tuple(
-        _judge(clause, u, fleet, step_reports) for clause in scenario.expects
+        _judge(clause, engine.universe, engine.fleet, responses) for clause in scenario.expects
     )
     return ScenarioReport(results, digest)
 
 
-def _run_command(u, fleet, cmd):
-    name = cmd["cmd"]
-    if name == "publish":
-        unit = unit_from_json(cmd["unit"])
-        u = publish_unit(u, cmd["server"], unit)
-        fleet.servers[cmd["server"]].add_unit(unit)
-        return u, {"published": unit.id}
-    if name == "deploy":
-        target = cmd.get("group") or tuple(cmd.get("sites", ()))
-        req = orch.DeployRequest(
-            target=target,
-            product_id=cmd["product"],
-            policy=SafetyPolicy(cmd.get("policy", "reject")),
-            dry_run=bool(cmd.get("dry_run", False)),
-            extra_filters=tuple(cmd.get("filters", ())),
-        )
-        u, report = orch.push_deploy(u, req, fleet)
-        return u, report
-    if name == "pull":
-        u, report = orch.pull_update(
-            u, cmd["site"], cmd["product"], fleet,
-            policy=SafetyPolicy(cmd.get("policy", "reject")),
-        )
-        return u, report
-    if name == "set-prop":
-        site = fleet.sites[cmd["site"]]
-        if cmd.get("remove"):
-            event = site.set_property(cmd["name"], remove=True)
-        else:
-            event = site.set_property(cmd["name"], value_from_json(cmd["value"]))
-        result = orch.on_property_change(
-            u, cmd["site"], event, fleet, apply=bool(cmd.get("apply", False))
-        )
-        if isinstance(result, tuple):
-            u, report = result
-            return u, report
-        return u, result
-    if name == "undeploy":
-        u, report = orch.undeploy(
-            u, cmd["site"], cmd["unit"], fleet, force=bool(cmd.get("force", False))
-        )
-        return u, report
-    if name == "activate":
-        u, report = orch.activate(u, cmd["site"], cmd["unit"], fleet)
-        return u, report
-    if name == "deactivate":
-        u, report = orch.deactivate(u, cmd["site"], cmd["unit"], fleet)
-        return u, report
-    if name == "inject":
+def _run_step(engine, cmd: dict) -> dict:
+    """``inject`` arms faults; any other command is the service op of that
+    name with dashes for underscores (a publish's manifest is under ``unit``)."""
+    if cmd["cmd"] == "inject":
         faults = [
             Fault(
                 site_id=f["site"],
@@ -650,46 +542,54 @@ def _run_command(u, fleet, cmd):
             )
             for f in cmd["faults"]
         ]
-        inject(fleet, faults)
-        return u, {"armed": len(faults)}
-    raise ValueError(f"unknown scenario command {name!r}")
+        inject(engine.fleet, faults)
+        return {"ok": True, "armed": len(faults)}
+    req = {k: v for k, v in cmd.items() if k not in ("cmd", "id")}
+    req["op"] = cmd["cmd"].replace("-", "_")
+    if req["op"] == "publish":
+        req["manifest"] = req.pop("unit")
+    return engine.handle(req)
 
 
-def _judge(clause: dict, u, fleet, step_reports) -> ExpectResult:
+def _report_entries(responses: dict, step) -> list | None:
+    report = responses.get(str(step), {}).get("report")
+    return report.get("entries") if isinstance(report, dict) else None
+
+
+def _judge(clause: dict, u, fleet, responses) -> ExpectResult:
     kind = clause["expect"]
     if kind == "lifecycle":
         site = fleet.sites.get(clause["site"])
-        entry = site.units.get(clause["unit"]) if site else None
-        actual = entry["state"] if entry else "ABSENT"
+        unit = site.units.get(clause["unit"]) if site else None
+        actual = unit.state if unit else "ABSENT"
         ok = actual == clause["state"]
         return ExpectResult(clause, ok, f"actual state {actual}")
     if kind == "outcome":
-        report = step_reports.get(str(clause["step"]))
-        if not isinstance(report, orch.FleetReport):
+        entries = _report_entries(responses, clause["step"])
+        if entries is None:
             return ExpectResult(clause, False, "step produced no fleet report")
-        matches = [e for e in report.entries if e.site_id == clause["site"]]
+        matches = [e for e in entries if e["site"] == clause["site"]]
         if not matches:
             return ExpectResult(clause, False, "no entry for site")
         entry = matches[0]
-        ok = entry.outcome == clause["value"]
-        detail = f"actual {entry.outcome} ({entry.reason})"
-        if not ok and entry.selection is not None:
-            detail += f"; selection: {json.dumps(entry.selection.to_json())}"
+        ok = entry["outcome"] == clause["value"]
+        detail = f"actual {entry['outcome']} ({entry.get('reason', '')})"
+        if not ok and "selection" in entry:
+            detail += f"; selection: {json.dumps(entry['selection'])}"
         return ExpectResult(clause, ok, detail)
     if kind == "conflict":
-        report = step_reports.get(str(clause["step"]))
-        if not isinstance(report, orch.FleetReport):
+        entries = _report_entries(responses, clause["step"])
+        if entries is None:
             return ExpectResult(clause, False, "step produced no fleet report")
         found = []
-        for e in report.entries:
-            found.extend(e.conflicts)
-            if e.selection is not None:
-                for c in e.selection.candidates:
-                    found.extend(c.conflicts)
+        for e in entries:
+            found.extend(e.get("conflicts", ()))
+            for c in e.get("selection", {}).get("candidates", ()):
+                found.extend(c["conflicts"])
         ok = any(
-            c.kind.value == clause["kind"]
-            and c.name == clause.get("name", c.name)
-            and c.blocking == clause.get("blocking", c.blocking)
+            c["kind"] == clause["kind"]
+            and c["name"] == clause.get("name", c["name"])
+            and c["blocking"] == clause.get("blocking", c["blocking"])
             for c in found
         )
         return ExpectResult(clause, ok, f"{len(found)} conflicts seen")
@@ -700,8 +600,8 @@ def _judge(clause: dict, u, fleet, step_reports) -> ExpectResult:
         ok = actual == expected
         return ExpectResult(clause, ok, f"actual {actual!r}")
     if kind == "plan-nonempty":
-        plan = step_reports.get(str(clause["step"]))
-        ok = isinstance(plan, orch.ReconfigurationPlan) and not plan.empty
+        plan = responses.get(str(clause["step"]), {}).get("plan")
+        ok = isinstance(plan, dict) and bool(plan["actions"])
         return ExpectResult(clause, ok, "")
     if kind == "record-count":
         actual = len(u.deployments)

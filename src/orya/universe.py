@@ -344,8 +344,9 @@ def open_universe(path: str | Path) -> Universe:
     dep_dir = root / "deployments"
     if dep_dir.is_dir():
         for name in sorted(n for n in os.listdir(dep_dir) if n.endswith(".json")):
-            record = _load_record(dep_dir / name, f"deployments/{name}")
-            deployments[record.id] = record
+            # Keyed by file name, so a record copied over another fails
+            # cross_validate's id check instead of silently replacing it.
+            deployments[name[: -len(".json")]] = _load_record(dep_dir / name, f"deployments/{name}")
 
     u = Universe(enterprise, catalog, site_states, deployments, root)
     cross_validate(u)
@@ -461,13 +462,6 @@ def set_site_state(u: Universe, state: ClientSiteState) -> Universe:
     site_states = dict(u.site_states)
     site_states[state.machine_id] = state
     return replace(u, site_states=site_states)
-
-
-def get_site_state(u: Universe, site_id: str) -> ClientSiteState:
-    try:
-        return u.site_states[site_id]
-    except KeyError:
-        raise UnknownTargetError(f"no state for site {site_id!r}") from None
 
 
 def query_status(

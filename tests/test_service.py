@@ -38,6 +38,18 @@ class TestLocalEngine:
     def test_ping(self, store):
         assert svc.LocalEngine(store).handle({"op": "ping"}) == {"ok": True, "pong": True}
 
+    def test_read_ops_build_no_fleet(self, store, monkeypatch):
+        engine = svc.LocalEngine(store)
+        engine.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest()})
+        assert engine.handle({"op": "deploy", "product": "editor", "sites": ["site1"]})["ok"]
+
+        def no_fleet(u):
+            raise AssertionError("a read op built a fleet")
+
+        monkeypatch.setattr(engine, "_fleet", no_fleet)
+        for op in ("status", "digest", "model_show", "model_validate", "ping"):
+            assert engine.handle({"op": op})["ok"], op
+
     def test_unknown_op(self, store):
         resp = svc.LocalEngine(store).handle({"op": "explode"})
         assert not resp["ok"] and resp["error"]["code"] == "USAGE"

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from conftest import make_enterprise, make_unit
-from orya.errors import StepFailure
+from orya import orchestrator as orch
+from orya.cli import main
+from orya.errors import OryaError, StepFailure
 from orya.process import Activity, ActivityKind, ExecutionContext, LifecycleState
 from orya.simharness import (
     Fault,
@@ -15,7 +17,7 @@ from orya.simharness import (
     inject,
     run_scenario,
 )
-from orya.universe import empty_universe
+from orya.universe import empty_universe, publish_unit
 from orya.values import Size
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,6 +62,29 @@ class TestSnapshotRestore:
         site.restore(snap)
         assert site.snapshot() == snap
         assert site.units == {}
+
+    def test_compensated_configure_and_update_restore_snapshot(self):
+        site, _ = fresh_site({"disk.free": Size.parse("1GB")})
+        old = make_unit("old", footprint=300, resources=[("r", 300, "d")])
+        new = make_unit("new", version="2.0", footprint=500, resources=[("r", 500, "e")])
+        ctx = ctx_for(old, _payload=None)
+        site.run_primitive("p0", Activity.make(ActivityKind.TRANSFER, resource="r"), ctx)
+        site.run_primitive("p1", Activity.make(ActivityKind.INSTALL), ctx)
+
+        configure = Activity.make(ActivityKind.CONFIGURE, params={"a": "1"})
+        snap = site.snapshot()
+        token = site.run_primitive("p2", configure, ctx)
+        assert site.units["old"].config == (("a", "1"),)
+        site.compensate("p2", configure, token, ctx)
+        assert site.snapshot() == snap
+
+        update = Activity.make(ActivityKind.UPDATE, unit="new")
+        ctx.params["_new_unit"] = new
+        token = site.run_primitive("p3", update, ctx)
+        assert set(site.units) == {"new"} and site.snapshot() != snap
+        site.compensate("p3", update, token, ctx)
+        assert site.snapshot() == snap
+        assert ctx.params["unit_id"] == "old"
 
     def test_snapshot_is_a_copy(self):
         site, _ = fresh_site()
@@ -165,9 +190,24 @@ class TestLifecycleEnforcement:
         unit = make_unit("u")
         ctx = ctx_for(unit)
         site.run_primitive("p0", Activity.make(ActivityKind.INSTALL), ctx)
-        assert site.units["u"]["state"] == LifecycleState.INSTALLED.value
+        assert site.units["u"].state == LifecycleState.INSTALLED.value
         site.run_primitive("p1", Activity.make(ActivityKind.ACTIVATE), ctx)
-        assert site.units["u"]["state"] == LifecycleState.ACTIVE.value
+        assert site.units["u"].state == LifecycleState.ACTIVE.value
+
+
+class TestSiteModel:
+    def test_built_fleet_state_round_trips(self):
+        sites = {f"s{i}": ({"os": "linux", "disk.free": "10GB"}, ()) for i in range(3)}
+        u = replace(empty_universe(), enterprise=make_enterprise(sites))
+        lib = make_unit("a-1", resources=[("r", 5, "x")], provides=[("liba", "1.0")])
+        u = publish_unit(u, "srv1", lib)
+        u = publish_unit(u, "srv1", make_unit("b-1", product="b", requires=[("liba", "1.0")]))
+        for product, target in (("prod", "all"), ("b", ("s0", "s2"))):
+            request = orch.DeployRequest(target=target, product_id=product)
+            u, _ = orch.push_deploy(u, request, build_fleet(u))
+        assert [len(u.site_states[s].deployed_units) for s in sorted(sites)] == [2, 1, 2]
+        for site_id, state in u.site_states.items():
+            assert build_fleet(u).sites[site_id].get_state() == state
 
 
 class TestScenarios:
@@ -184,6 +224,31 @@ class TestScenarios:
         r1 = run_scenario(path)
         r2 = run_scenario(path)
         assert r1.universe_digest == r2.universe_digest
+
+    def test_refused_step_stops_the_run(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "basic_push.json").read_text())
+        doc["script"].append({"id": "bad", "cmd": "deploy", "product": "ghost", "sites": ["site1"]})
+        with pytest.raises(OryaError) as exc:
+            run_scenario(doc)
+        assert exc.value.code == "UNKNOWN_PRODUCT"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error [UNKNOWN_PRODUCT]: product 'ghost' not in any catalog\n"
+        )
+
+    def test_deactivate_step(self):
+        doc = json.loads((SCENARIO_DIR / "basic_push.json").read_text())
+        doc["script"].append(
+            {"id": "off", "cmd": "deactivate", "site": "site1", "unit": "editor-1.2"}
+        )
+        doc["expects"] = [
+            {"expect": "outcome", "step": "off", "site": "site1", "value": "DEACTIVATED"},
+            {"expect": "lifecycle", "site": "site1", "unit": "editor-1.2", "state": "INSTALLED"},
+        ]
+        report = run_scenario(doc)
+        assert report.passed, json.dumps(report.to_json())
 
     def test_failed_expectation_reported(self):
         doc = json.loads((SCENARIO_DIR / "basic_push.json").read_text())

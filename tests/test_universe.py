@@ -152,6 +152,16 @@ class TestCorruption:
         with pytest.raises(StoreCorruptError):
             cross_validate(u)
 
+    def test_record_copied_over_another_is_rejected(self, tmp_path):
+        root = tmp_path / "u"
+        save_universe(record_deployment(populated_universe(root), make_record("d000001")))
+        dep_dir = root / "deployments"
+        (dep_dir / "d000001.json").write_bytes((dep_dir / "d000000.json").read_bytes())
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == "deployments/d000001"
+        assert exc.value.reason == "record id mismatch"
+
     def test_cross_validate_digest_mismatch(self):
         u = base_universe()
         record = make_record()
