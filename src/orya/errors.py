@@ -88,9 +88,3 @@ class StepFailure(OryaError):
     """A deployment primitive failed; triggers compensation."""
 
     code = "STEP_FAILED"
-
-
-class ExecutorUnavailableError(StepFailure):
-    """Site or app-server handle is dead; treated as a step failure."""
-
-    code = "EXECUTOR_UNAVAILABLE"

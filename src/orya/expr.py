@@ -8,6 +8,8 @@ Grammar (precedence not > and > or, both binary operators left-associative)::
     not  := "not" not | atom
     atom := "(" expr ")" | "exists(" ident ")" | ident op literal
 
+"(" and "not" nest at most ``MAX_NESTING`` levels deep.
+
 Literals are quoted text, integers, booleans ``true|false``, dotted versions
 and sizes ``<int><B|KB|MB|GB>``. Evaluation is three-valued: a comparison on a
 missing property yields Unknown rather than a violation, so that sites with
@@ -117,12 +119,17 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Deepest nesting of "(" and "not" accepted. Each level costs the parser up to
+# four stack frames, and evaluate and print_expression recurse per "not".
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -137,6 +144,17 @@ class _Parser:
         if tok.kind != kind:
             self.fail({expected})
         return self.advance()
+
+    def enter(self) -> None:
+        """Consume a "(" or "not" that opens one more nesting level."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(
+                "nesting too deep",
+                self.peek().offset,
+                frozenset({f"at most {MAX_NESTING} levels of '(' and 'not'"}),
+            )
+        self.depth += 1
+        self.advance()
 
     def fail(self, expected: set[str]):
         tok = self.peek()
@@ -165,16 +183,19 @@ class _Parser:
 
     def parse_not(self) -> Expression:
         if self.peek().kind == "not":
-            self.advance()
-            return Not(self.parse_not())
+            self.enter()
+            node = Not(self.parse_not())
+            self.depth -= 1
+            return node
         return self.parse_atom()
 
     def parse_atom(self) -> Expression:
         tok = self.peek()
         if tok.kind == "lparen":
-            self.advance()
+            self.enter()
             node = self.parse_or()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return node
         if tok.kind == "exists":
             self.advance()

@@ -1,4 +1,4 @@
-"""Enterprise domain types: groups, machines, users, products, site states.
+"""Enterprise domain types: groups, machines, users, deployed units, site states.
 
 The enterprise model is a forest of groups over machines of two kinds
 (app servers and client sites), plus the users and roles that may touch
@@ -64,14 +64,6 @@ class EnterpriseModel:
     machines: tuple[Machine, ...] = ()
     users: tuple[User, ...] = ()
     roles: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Product:
-    id: str
-    name: str
-    version: Version
-    unit_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

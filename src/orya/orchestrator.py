@@ -207,13 +207,16 @@ def _run_process(
     u: Universe,
     fleet,
     site_id: str,
-    unit: PackagedUnit,
+    unit: PackagedUnit | DeployedUnit,
     process: ProcessDef,
     mode: DeployMode,
     units_by_id,
     result_unit_id: str | None = None,
 ) -> tuple[Universe, DeploymentRecord]:
-    """Execute one process on one site, commit site state, append the record."""
+    """Execute one process on one site, commit site state, append the record.
+
+    ``unit`` is the catalog unit a deployment places, or the site's deployed
+    unit for undeploy, activation and update, which read only its ids."""
     handle = fleet.sites[site_id]
     executor = BrokeredExecutor(handle, _make_fetcher(u, fleet), units_by_id)
     deployment_id = u.next_deployment_id()
@@ -383,22 +386,8 @@ def _apply_update(u, fleet, site_id, current: DeployedUnit, new_unit: PackagedUn
             + [Activity.make(ActivityKind.ACTIVATE)]
         )
     process = ProcessDef(id=f"{current.unit_id}.update", root=Seq(tuple(steps)))
-    # ctx.unit must be the unit currently on site; the update activity swaps it.
-    old_like = units_by_id.get(current.unit_id) or _unit_stub(current)
-    return _run_process(u, fleet, site_id, old_like, process, mode, units_by_id, result_unit_id=new_unit.id)
-
-
-def _unit_stub(du: DeployedUnit) -> PackagedUnit:
-    """Minimal unit view for site-local operations on already-deployed units."""
-    return PackagedUnit(
-        id=du.unit_id,
-        product_id=du.product_id,
-        product_version=du.version,
-        footprint=du.footprint,
-        provides=du.provides,
-        requires=du.requires,
-        constraints=du.constraints,
-    )
+    # ctx.unit is the unit currently on site; the update activity swaps it.
+    return _run_process(u, fleet, site_id, current, process, mode, units_by_id, result_unit_id=new_unit.id)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +510,7 @@ def undeploy(
         steps.insert(0, Activity.make(ActivityKind.DEACTIVATE))
     process = ProcessDef(id=f"{unit_id}.uninstall", root=Seq(tuple(steps)))
     units_by_id = _catalog_candidates(u, du.product_id)
-    u, record = _run_process(u, fleet, site_id, _unit_stub(du), process, DeployMode.PUSH, units_by_id)
+    u, record = _run_process(u, fleet, site_id, du, process, DeployMode.PUSH, units_by_id)
     outcome = "REMOVED" if record.trace.status is TraceStatus.SUCCESS else _STATUS_OUTCOME[record.trace.status]
     entry = SiteOutcome(
         site_id, outcome, unit_id=unit_id, record_id=record.id,
@@ -538,7 +527,7 @@ def _single_transition(u, fleet, site_id, du: DeployedUnit, kind: ActivityKind, 
             site_id, "SKIPPED", reason="ILLEGAL_TRANSITION", unit_id=du.unit_id
         )
     process = ProcessDef(id=f"{du.unit_id}.{kind.value}", root=Seq((Activity.make(kind),)))
-    u, record = _run_process(u, fleet, site_id, _unit_stub(du), process, mode, {})
+    u, record = _run_process(u, fleet, site_id, du, process, mode, {})
     if record.trace.status is TraceStatus.SUCCESS:
         outcome = "ACTIVATED" if kind is ActivityKind.ACTIVATE else "DEACTIVATED"
     else:

@@ -12,12 +12,11 @@ import json
 import socket
 import socketserver
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 from . import orchestrator as orch
-from .errors import OryaError
-from .model import apply_property_change, enterprise_to_json, lookup_machine, validate_enterprise
+from .errors import OryaError, UnknownTargetError
+from .model import MachineKind, enterprise_to_json, lookup_machine, validate_enterprise
 from .safety import SafetyPolicy
 from .simharness import Fleet, build_fleet, sync_properties
 from .units import unit_from_json
@@ -168,29 +167,23 @@ class LocalEngine:
 
     def op_set_prop(self, req):
         site_id = req["site"]
-        machine = lookup_machine(self.universe.enterprise, site_id)
-        if req.get("remove"):
-            machine, event = apply_property_change(machine, req["name"], remove=True)
-        else:
-            machine, event = apply_property_change(
-                machine, req["name"], value_from_json(req["value"])
-            )
-        machines = tuple(
-            machine if m.id == site_id else m for m in self.universe.enterprise.machines
-        )
-        u = replace(self.universe, enterprise=replace(self.universe.enterprise, machines=machines))
-        fleet = self._fleet(u)
+        if lookup_machine(self.universe.enterprise, site_id).kind is not MachineKind.CLIENT_SITE:
+            raise UnknownTargetError(f"machine {site_id!r} is not a client site")
+        name, remove = req["name"], bool(req.get("remove"))
+        value = None if remove else value_from_json(req["value"])
+        fleet = self._fleet(self.universe)
+        event = fleet.sites[site_id].set_property(name, value, remove=remove)
         result = orch.on_property_change(
-            u, site_id, event, fleet, apply=bool(req.get("apply", False))
+            self.universe, site_id, event, fleet, apply=bool(req.get("apply", False))
         )
         if isinstance(result, tuple):
             u, report = result
-            self._commit(u, fleet)
             response = _report_response(report)
-            response["noop"] = event.noop
-            return response
+        else:
+            u, response = self.universe, {"ok": True, "refusal": False, "plan": result.to_json()}
         self._commit(u, fleet)
-        return {"ok": True, "refusal": False, "plan": result.to_json(), "noop": event.noop}
+        response["noop"] = event.noop
+        return response
 
     def op_status(self, req):
         report = orch.status(
@@ -215,11 +208,6 @@ class ScenarioEngine(LocalEngine):
         self.fleet = fleet
 
     def _fleet(self, u: Universe) -> Fleet:
-        # The live sites take the op's view of their properties (a set_prop).
-        for m in u.enterprise.machines:
-            site = self.fleet.sites.get(m.id)
-            if site is not None:
-                site.properties = dict(m.properties)
         return self.fleet
 
     def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:

@@ -1,17 +1,20 @@
 """Deterministic simulated fleet: in-process app servers and client sites,
 plus the scenario runner that drives the engine over one such fleet.
 
-Sites hold the store's own frozen ``DeployedUnit`` values and a flat keyed
-file namespace instead of a real filesystem, consume integer virtual-clock
-ticks per primitive, and support bit-exact snapshot and restore (the
-compensation oracle). App servers hold no unit table: the deployment service
+Sites hold the store's own frozen values: their enterprise ``Machine`` (the one
+home of their properties and standing constraints, swapped for a new value on
+every change and folded back by ``sync_properties``) and their
+``DeployedUnit`` entries. They keep a flat keyed file namespace instead of a
+real filesystem, consume integer virtual-clock ticks per primitive, and
+support bit-exact snapshot and restore (the compensation oracle). App servers hold no unit table: the deployment service
 hands them the catalog unit whose resource it fetches. Fault plans arm
 step-level failures by step path or primitive kind with an occurrence index.
 
 A scenario script is a list of service ops, spelled with dashes, run through
-``LocalEngine.handle`` over an in-memory universe and one live fleet; ``inject``
-(arm faults) is the only harness-only command. A step the engine refuses stops
-the run with the engine's error code.
+``LocalEngine.handle`` over an in-memory universe and one live fleet; a
+``set-prop`` changes the live site's machine. ``inject`` (arm faults) is the
+only harness-only command. A step the engine refuses stops the run with the
+engine's error code.
 """
 
 from __future__ import annotations
@@ -123,12 +126,14 @@ def _moved(entry: DeployedUnit | None, unit: PackagedUnit, state: LifecycleState
 
 
 class SimulatedSite:
-    """In-process client site: properties, constraints, state, primitives."""
+    """In-process client site: its enterprise machine, units, files, primitives.
 
-    def __init__(self, machine_id, properties, constraints, clock, call_log, state=None):
-        self.machine_id = machine_id
-        self.properties = dict(properties)
-        self.constraints = list(constraints)
+    ``machine`` is the frozen ``Machine`` value ``build_fleet`` hands over; a
+    property change swaps in a new value, never edits the one it shares with
+    the committed universe."""
+
+    def __init__(self, machine: Machine, clock, call_log, state=None):
+        self.machine = machine
         self.clock = clock
         self.call_log = call_log
         self.units: dict[str, DeployedUnit] = {
@@ -136,6 +141,15 @@ class SimulatedSite:
         }
         self.files: dict[str, str] = {}
         self._faults: list[dict] = []
+
+    @property
+    def machine_id(self) -> str:
+        return self.machine.id
+
+    @property
+    def properties(self):
+        """The machine's property map: read it, never write it."""
+        return self.machine.properties
 
     # -- role surface -------------------------------------------------------
 
@@ -145,14 +159,12 @@ class SimulatedSite:
 
     def set_property(self, name, value=None, *, remove=False):
         self._log("set_property", name)
-        machine = Machine(self.machine_id, MachineKind.CLIENT_SITE, self.properties)
-        updated, event = apply_property_change(machine, name, value, remove=remove)
-        self.properties = dict(updated.properties)
+        self.machine, event = apply_property_change(self.machine, name, value, remove=remove)
         return event
 
     def get_constraints(self):
         self._log("get_constraints", "")
-        return list(self.constraints)
+        return list(self.machine.standing_constraints)
 
     def get_state(self) -> ClientSiteState:
         units = tuple(self.units[k] for k in sorted(self.units))
@@ -162,14 +174,17 @@ class SimulatedSite:
         """Bit-exact state capture as plain JSON: compare snapshots with ``==``."""
         return {
             "properties": {k: value_to_json(v) for k, v in sorted(self.properties.items())},
-            "constraints": list(self.constraints),
+            "constraints": list(self.machine.standing_constraints),
             "units": {k: deployed_unit_to_json(self.units[k]) for k in sorted(self.units)},
             "files": dict(sorted(self.files.items())),
         }
 
     def restore(self, snap: dict) -> None:
-        self.properties = {k: value_from_json(v) for k, v in snap["properties"].items()}
-        self.constraints = list(snap["constraints"])
+        self.machine = replace(
+            self.machine,
+            properties={k: value_from_json(v) for k, v in snap["properties"].items()},
+            standing_constraints=tuple(snap["constraints"]),
+        )
         self.units = {k: deployed_unit_from_json(d) for k, d in snap["units"].items()}
         self.files = dict(snap["files"])
 
@@ -342,8 +357,11 @@ class SimulatedSite:
 
     def _adjust_disk(self, delta: int) -> None:
         free = self.properties.get(DISK_FREE)
-        if isinstance(free, Size):
-            self.properties[DISK_FREE] = Size(max(0, free.count + delta))
+        if not isinstance(free, Size):
+            return
+        left = Size(max(0, free.count + delta))
+        if left != free:
+            self.machine = replace(self.machine, properties={**self.properties, DISK_FREE: left})
 
     def _log(self, method, detail):
         self.call_log.append(
@@ -397,29 +415,21 @@ def build_fleet(u: Universe) -> Fleet:
     servers: dict[str, SimulatedAppServer] = {}
     for m in u.enterprise.machines:
         if m.kind is MachineKind.CLIENT_SITE:
-            sites[m.id] = SimulatedSite(
-                m.id,
-                m.properties,
-                m.standing_constraints,
-                clock,
-                call_log,
-                state=u.site_states.get(m.id),
-            )
+            sites[m.id] = SimulatedSite(m, clock, call_log, state=u.site_states.get(m.id))
         else:
             servers[m.id] = SimulatedAppServer(m.id, clock, call_log)
     return Fleet(sites=sites, servers=servers, clock=clock, call_log=call_log)
 
 
 def sync_properties(u: Universe, fleet: Fleet) -> Universe:
-    """Copy live site properties back onto the enterprise model machines."""
-    machines = []
-    for m in u.enterprise.machines:
-        site = fleet.sites.get(m.id)
-        if site is not None:
-            m = replace(m, properties=dict(site.properties),
-                        standing_constraints=tuple(site.constraints))
-        machines.append(m)
-    return replace(u, enterprise=replace(u.enterprise, machines=tuple(machines)))
+    """Fold each live site's machine back into the enterprise model. A machine
+    no op changed stays the same object; with none changed, ``u`` is returned."""
+    machines = tuple(
+        fleet.sites[m.id].machine if m.id in fleet.sites else m for m in u.enterprise.machines
+    )
+    if all(new is old for new, old in zip(machines, u.enterprise.machines)):
+        return u
+    return replace(u, enterprise=replace(u.enterprise, machines=machines))
 
 
 def inject(fleet: Fleet, plan) -> Fleet:

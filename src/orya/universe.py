@@ -129,11 +129,6 @@ class Universe:
     deployments: dict[str, DeploymentRecord] = field(default_factory=dict)
     root: Path | None = None
 
-    def servers(self) -> list[str]:
-        return sorted(
-            m.id for m in self.enterprise.machines if m.kind is MachineKind.APP_SERVER
-        )
-
     def next_deployment_id(self) -> str:
         return f"d{len(self.deployments):06d}"
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_expression
 from orya.errors import ExpressionSyntaxError
 from orya.expr import (
+    MAX_NESTING,
     And,
     Compare,
     Exists,
@@ -80,6 +81,41 @@ class TestParser:
     def test_keywords_not_identifiers(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("and = 1")
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * MAX_NESTING + "a = 1" + ")" * MAX_NESTING,
+            "not " * MAX_NESTING + "a = 1",
+            "not (" * (MAX_NESTING // 2) + "a = 1" + ")" * (MAX_NESTING // 2),
+        ],
+        ids=["parens", "not", "mixed"],
+    )
+    def test_at_cap_parses_and_round_trips(self, text):
+        e = parse_expression(text)
+        assert parse_expression(print_expression(e)) == e
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(" * (MAX_NESTING + 1) + "a = 1" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+            ("not " * (MAX_NESTING + 1) + "a = 1", 4 * MAX_NESTING),
+            ("(" * 5000 + "a = 1" + ")" * 5000, MAX_NESTING),
+            ("not " * 5000 + "a = 1", 4 * MAX_NESTING),
+        ],
+        ids=["parens", "not", "parens-5000", "not-5000"],
+    )
+    def test_past_cap_is_syntax_error_at_offending_token(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(text)
+        assert info.value.code == "SYNTAX"
+        assert info.value.offset == offset
+
+    def test_exists_paren_is_not_nesting(self):
+        text = "(" * MAX_NESTING + "exists(a)" + ")" * MAX_NESTING
+        assert parse_expression(text) == Exists("a")
 
 
 class TestCanonicalPrinter:

@@ -1,4 +1,5 @@
 import json
+import socket
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import make_enterprise, make_unit
 from orya import service as svc
 from orya.units import unit_to_json
-from orya.universe import empty_universe, save_universe
+from orya.universe import empty_universe, save_universe, universe_digest
 
 
 @pytest.fixture
@@ -100,6 +101,176 @@ class TestLocalEngine:
         resp = engine.handle({"op": "set_prop", "site": "site1", "name": "os", "value": "win"})
         assert resp["ok"] and resp["plan"]["actions"]
         assert resp["noop"] is False
+
+
+def deployed_engine(store):
+    """site1 runs editor-1.2 (linux only); editor-1.0 fits any site."""
+    engine = svc.LocalEngine(store)
+    for manifest in (editor_manifest(), editor_manifest("1.0", ())):
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
+    assert engine.handle({"op": "deploy", "product": "editor", "sites": ["site1"]})["ok"]
+    return engine
+
+
+def set_prop(engine, **req):
+    return engine.handle({"op": "set_prop", **req})
+
+
+def error(code, message):
+    return {"ok": False, "error": {"code": code, "message": message}}
+
+
+class TestSetPropAnswers:
+    def test_unknown_machine(self, store):
+        engine = deployed_engine(store)
+        for name in ("os", "Bad Name!"):
+            resp = set_prop(engine, site="ghost", name=name, value="win")
+            assert resp == error("UNKNOWN_TARGET", "unknown machine 'ghost'")
+
+    def test_app_server_is_not_a_client_site(self, store):
+        engine = deployed_engine(store)
+        before = engine.handle({"op": "digest"})
+        for name in ("os", "Bad Name!"):
+            resp = set_prop(engine, site="srv1", name=name, value="win")
+            assert resp == error("UNKNOWN_TARGET", "machine 'srv1' is not a client site")
+        assert engine.handle({"op": "digest"}) == before
+
+    def test_bad_name(self, store):
+        resp = set_prop(deployed_engine(store), site="site1", name="Bad Name!", value="win")
+        assert resp == error("USAGE", "invalid property name 'Bad Name!'")
+
+    def test_kind_change(self, store):
+        resp = set_prop(deployed_engine(store), site="site1", name="os", value=3)
+        assert resp == error("TYPE_CHANGE", "property 'os' is text, cannot assign integer")
+
+    def test_remove_absent_is_noop(self, store):
+        resp = set_prop(deployed_engine(store), site="site1", name="absent", remove=True)
+        assert resp == {
+            "ok": True, "refusal": False, "plan": {"site": "site1", "actions": []}, "noop": True
+        }
+
+    def test_same_value_twice(self, store):
+        engine = deployed_engine(store)
+        plan = {"site": "site2", "actions": []}
+        first = set_prop(engine, site="site2", name="tier", value="gold")
+        assert first == {"ok": True, "refusal": False, "plan": plan, "noop": False}
+        digest = engine.handle({"op": "digest"})
+        second = set_prop(engine, site="site2", name="tier", value="gold")
+        assert second == {"ok": True, "refusal": False, "plan": plan, "noop": True}
+        assert engine.handle({"op": "digest"}) == digest
+
+    def test_apply_with_plan(self, store):
+        resp = set_prop(deployed_engine(store), site="site1", name="os", value="win", apply=True)
+        entry = {"site": "site1", "outcome": "RECONFIGURED", "unit": "editor-1.0", "record": "d000001"}
+        assert resp == {
+            "ok": True,
+            "refusal": False,
+            "report": {"entries": [entry], "summary": {"RECONFIGURED": 1}},
+            "noop": False,
+        }
+
+    def test_apply_without_actions(self, store):
+        resp = set_prop(deployed_engine(store), site="site2", name="tier", value="gold", apply=True)
+        assert resp == {
+            "ok": True, "refusal": False, "report": {"entries": [], "summary": {}}, "noop": False
+        }
+
+
+# (prelude requests, the op under test)
+WRITE_OPS = {
+    "deploy": ((), {"op": "deploy", "product": "editor", "sites": ["site2"]}),
+    "pull": (
+        ({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.3")},),
+        {"op": "pull", "site": "site1", "product": "editor"},
+    ),
+    "undeploy": ((), {"op": "undeploy", "site": "site1", "unit": "editor-1.2"}),
+    "activate": (
+        ({"op": "deactivate", "site": "site1", "unit": "editor-1.2"},),
+        {"op": "activate", "site": "site1", "unit": "editor-1.2"},
+    ),
+    "deactivate": ((), {"op": "deactivate", "site": "site1", "unit": "editor-1.2"}),
+    "set_prop": ((), {"op": "set_prop", "site": "site1", "name": "os", "value": "win"}),
+    "set_prop-apply": (
+        (),
+        {"op": "set_prop", "site": "site1", "name": "os", "value": "win", "apply": True},
+    ),
+}
+
+
+class TestCommittedUniverseUntouched:
+    """A write op builds a new universe; the one it started from stays as it was."""
+
+    @pytest.mark.parametrize("name", sorted(WRITE_OPS))
+    def test_op_leaves_prior_universe_unchanged(self, store, name):
+        prelude, req = WRITE_OPS[name]
+        engine = deployed_engine(store)
+        for r in prelude:
+            assert engine.handle(r)["ok"]
+        before = engine.universe
+        digest = universe_digest(before)
+        props = {m.id: dict(m.properties) for m in before.enterprise.machines}
+
+        resp = engine.handle(req)
+        assert resp["ok"] and not resp["refusal"], resp
+        assert engine.universe is not before
+        assert universe_digest(before) == digest
+        assert {m.id: m.properties for m in before.enterprise.machines} == props
+
+    def test_activate_keeps_the_enterprise_object(self, store):
+        engine = deployed_engine(store)
+        engine.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.2"})
+        enterprise = engine.universe.enterprise
+        assert engine.handle({"op": "activate", "site": "site1", "unit": "editor-1.2"})["ok"]
+        assert engine.universe.enterprise is enterprise
+
+    def test_set_prop_replaces_exactly_one_machine(self, store):
+        engine = deployed_engine(store)
+        before = engine.universe.enterprise.machines
+        assert set_prop(engine, site="site2", name="tier", value="gold")["ok"]
+        after = engine.universe.enterprise.machines
+        assert [m.id for m in after] == [m.id for m in before]
+        changed = [new.id for new, old in zip(after, before) if new is not old]
+        assert changed == ["site2"]
+
+
+DEEP_FILTERS = {
+    "parens": "(" * 5000 + 'os = "linux"' + ")" * 5000,
+    "not": "not " * 5000 + 'os = "linux"',
+}
+
+
+def dry_run_with(text):
+    return {"op": "deploy", "product": "editor", "sites": ["site1"], "dry_run": True,
+            "filters": [text]}
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize("kind", sorted(DEEP_FILTERS))
+    def test_handle_answers_syntax(self, store, kind):
+        engine = deployed_engine(store)
+        resp = engine.handle(dry_run_with(DEEP_FILTERS[kind]))
+        assert not resp["ok"] and resp["error"]["code"] == "SYNTAX"
+
+    def test_unix_socket_answers_syntax_and_keeps_the_connection(self, store, tmp_path):
+        deployed_engine(store)
+        server = svc.ServiceServer(store, str(tmp_path / "s.sock"))
+        server.start_background()
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(server.address)
+            f = sock.makefile("rw")
+            for kind in sorted(DEEP_FILTERS):
+                f.write(json.dumps(dry_run_with(DEEP_FILTERS[kind])) + "\n")
+                f.flush()
+                resp = json.loads(f.readline())
+                assert resp["error"]["code"] == "SYNTAX", kind
+            f.write(json.dumps({"op": "ping"}) + "\n")
+            f.flush()
+            assert json.loads(f.readline()) == {"ok": True, "pong": True}
+            f.close()
+            sock.close()
+        finally:
+            server.shutdown()
 
 
 class TestTransports:

@@ -8,6 +8,7 @@ from conftest import make_enterprise, make_unit
 from orya import orchestrator as orch
 from orya.cli import main
 from orya.errors import OryaError, StepFailure
+from orya.model import Machine, MachineKind, lookup_machine
 from orya.process import Activity, ActivityKind, ExecutionContext, LifecycleState
 from orya.simharness import (
     Fault,
@@ -16,6 +17,7 @@ from orya.simharness import (
     build_fleet,
     inject,
     run_scenario,
+    sync_properties,
 )
 from orya.universe import empty_universe, publish_unit
 from orya.values import Size
@@ -25,9 +27,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 def fresh_site(props=None, units=None):
     clock = VirtualClock()
-    site = SimulatedSite(
-        "s1", props or {"disk.free": Size.parse("1GB")}, [], clock, []
-    )
+    machine = Machine("s1", MachineKind.CLIENT_SITE, props or {"disk.free": Size.parse("1GB")})
+    site = SimulatedSite(machine, clock, [])
     return site, clock
 
 
@@ -208,6 +209,23 @@ class TestSiteModel:
         assert [len(u.site_states[s].deployed_units) for s in sorted(sites)] == [2, 1, 2]
         for site_id, state in u.site_states.items():
             assert build_fleet(u).sites[site_id].get_state() == state
+
+    def test_sites_hold_the_enterprise_machines(self):
+        sites = {f"s{i}": ({"disk.free": "10GB"}, ('exists(os)',)) for i in range(3)}
+        u = replace(empty_universe(), enterprise=make_enterprise(sites))
+        fleet = build_fleet(u)
+        machines = {m.id: m for m in u.enterprise.machines}
+        assert all(site.machine is machines[sid] for sid, site in fleet.sites.items())
+        assert sync_properties(u, fleet) is u
+
+        fleet.sites["s1"].set_property("os", "linux")
+        assert machines["s1"].properties == {"disk.free": Size.parse("10GB")}
+        synced = sync_properties(u, fleet)
+        changed = [m.id for m in synced.enterprise.machines if m is not machines[m.id]]
+        assert changed == ["s1"]
+        s1 = lookup_machine(synced.enterprise, "s1")
+        assert s1.properties["os"] == "linux"
+        assert s1.standing_constraints == ("exists(os)",) and s1.group_ids == ("all",)
 
 
 class TestScenarios:
