@@ -8,7 +8,9 @@ Grammar (precedence not > and > or, both binary operators left-associative)::
     not  := "not" not | atom
     atom := "(" expr ")" | "exists(" ident ")" | ident op literal
 
-"(" and "not" nest at most ``MAX_NESTING`` levels deep.
+"(" and "not" nest at most ``MAX_NESTING`` levels deep, and the tree of
+"and", "or" and "not" nodes is at most ``MAX_NESTING`` levels deep: a chain of
+n "and" (or n "or") adds n levels, since it parses left-deep.
 
 Literals are quoted text, integers, booleans ``true|false``, dotted versions
 and sizes ``<int><B|KB|MB|GB>``. Evaluation is three-valued: a comparison on a
@@ -119,8 +121,9 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
-# Deepest nesting of "(" and "not" accepted. Each level costs the parser up to
-# four stack frames, and evaluate and print_expression recurse per "not".
+# Deepest nesting of "(" and "not", and deepest tree, accepted. Each "(" or
+# "not" costs the parser up to four stack frames, and evaluate and
+# print_expression recurse once per tree level.
 MAX_NESTING = 100
 
 
@@ -147,14 +150,7 @@ class _Parser:
 
     def enter(self) -> None:
         """Consume a "(" or "not" that opens one more nesting level."""
-        if self.depth == MAX_NESTING:
-            raise ExpressionSyntaxError(
-                "nesting too deep",
-                self.peek().offset,
-                frozenset({f"at most {MAX_NESTING} levels of '(' and 'not'"}),
-            )
-        self.depth += 1
-        self.advance()
+        self.depth = _level(self.advance(), self.depth)
 
     def fail(self, expected: set[str]):
         tok = self.peek()
@@ -162,34 +158,39 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected {what!r}", tok.offset, frozenset(expected))
 
     def parse(self) -> Expression:
-        node = self.parse_or()
+        node, _ = self.parse_or()
         if self.peek().kind != "eof":
             self.fail({"end of input", "'and'", "'or'"})
         return node
 
-    def parse_or(self) -> Expression:
-        node = self.parse_and()
+    # Each parse_* returns a node and the height of its "and"/"or"/"not" tree.
+
+    def parse_or(self) -> tuple[Expression, int]:
+        node, height = self.parse_and()
         while self.peek().kind == "or":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
+            op = self.advance()
+            right, right_height = self.parse_and()
+            node, height = Or(node, right), _level(op, height, right_height)
+        return node, height
 
-    def parse_and(self) -> Expression:
-        node = self.parse_not()
+    def parse_and(self) -> tuple[Expression, int]:
+        node, height = self.parse_not()
         while self.peek().kind == "and":
-            self.advance()
-            node = And(node, self.parse_not())
-        return node
+            op = self.advance()
+            right, right_height = self.parse_not()
+            node, height = And(node, right), _level(op, height, right_height)
+        return node, height
 
-    def parse_not(self) -> Expression:
-        if self.peek().kind == "not":
+    def parse_not(self) -> tuple[Expression, int]:
+        op = self.peek()
+        if op.kind == "not":
             self.enter()
-            node = Not(self.parse_not())
+            operand, height = self.parse_not()
             self.depth -= 1
-            return node
+            return Not(operand), _level(op, height)
         return self.parse_atom()
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "lparen":
             self.enter()
@@ -202,11 +203,11 @@ class _Parser:
             self.expect("lparen", "'('")
             name = self.expect("ident", "identifier").text
             self.expect("rparen", "')'")
-            return Exists(name)
+            return Exists(name), 0
         if tok.kind == "ident":
             name = self.advance().text
             op = self.expect("op", "comparison operator").text
-            return Compare(name, op, self.parse_literal())
+            return Compare(name, op, self.parse_literal()), 0
         self.fail({"'('", "'exists('", "identifier", "'not'"})
 
     def parse_literal(self) -> PropertyValue:
@@ -227,6 +228,18 @@ class _Parser:
             self.advance()
             return tok.kind == "true"
         self.fail({"literal"})
+
+
+def _level(tok: Token, *below: int) -> int:
+    """The level one above ``below`` that ``tok`` opens or builds; SYNTAX at
+    ``tok`` past ``MAX_NESTING``."""
+    if max(below) >= MAX_NESTING:
+        raise ExpressionSyntaxError(
+            "nesting too deep",
+            tok.offset,
+            frozenset({f"at most {MAX_NESTING} levels of '(', 'not', 'and' and 'or'"}),
+        )
+    return 1 + max(below)
 
 
 def parse_expression(text: str) -> Expression:

@@ -72,9 +72,15 @@ class LocalEngine:
         return build_fleet(u)
 
     def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
+        """Save over ``self.universe``, last opened or saved, so only what the
+        op changed is serialised; after a failed save, reload and re-raise."""
         if fleet is not None:
             u = sync_properties(u, fleet)
-        save_universe(u, self.store)
+        try:
+            save_universe(u, self.store, base=self.universe)
+        except Exception:
+            self.reload()
+            raise
         self.universe = u
 
     def handle(self, req: dict) -> dict:

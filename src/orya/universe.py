@@ -14,7 +14,8 @@ process so pull updates and reconfiguration survive catalog removal.
 Cost model: a store call costs what changed, not the whole store.
 
 - ``save_universe`` writes a document only when its bytes differ from the
-  file on disk, and never rewrites an existing record.
+  file on disk, and never rewrites an existing record. Given ``base``, it does
+  not even serialise a document whose frozen value ``is`` the one in ``base``.
 - ``open_universe`` reads every file, but parses a record only when the bytes
   of its file have not been parsed before by a record that is still alive.
 - A record computes its canonical JSON and its process-digest check once;
@@ -209,6 +210,9 @@ def cross_validate(u: Universe) -> None:
         for product in state.products:
             if product not in contributing:
                 raise StoreCorruptError(f"sites/{site}", f"product {product!r} has no deployed unit")
+    for n in range(len(u.deployments)):
+        if f"d{n:06d}" not in u.deployments:
+            raise StoreCorruptError(f"deployments/d{n:06d}.json", "missing record")
     for rid, record in u.deployments.items():
         if record.id != rid:
             raise StoreCorruptError(f"deployments/{rid}", "record id mismatch")
@@ -348,27 +352,46 @@ def open_universe(path: str | Path) -> Universe:
     return u
 
 
-def save_universe(u: Universe, path: str | Path | None = None, writer_id: str = "orya") -> None:
+def save_universe(
+    u: Universe, path: str | Path | None = None, writer_id: str = "orya", *, base: Universe | None = None
+) -> None:
     """Persist the universe under the single-writer lock.
 
     Site states are committed before deployment records, so a crash between
     writes leaves at worst a record-less state change. Existing deployment
     records are never rewritten.
 
-    Each document is compared with the file on disk and written (by
-    write-and-rename) only when its bytes differ, so a save costs one read per
-    document plus a write per changed one. Existing records are found with a
-    single directory listing and are not read at all.
+    ``base`` is the universe the caller knows is on disk. A document whose
+    frozen value ``is`` the one in ``base`` (enterprise, a server's units, a
+    site state, a record whose id is in ``base.deployments``) is neither
+    serialised nor read. Any other record whose file exists raises
+    DuplicateUnitError before anything is written; with no ``base`` it is
+    skipped. Every other document is written (by write-and-rename) only when
+    its bytes differ from the file on disk.
     """
     root = Path(path) if path is not None else u.root
     if root is None:
         raise ValueError("universe has no root path")
     root.mkdir(parents=True, exist_ok=True)
     with store_lock(root, writer_id):
-        _write_json(root / "enterprise.json", enterprise_to_json(u.enterprise))
+        dep_dir = root / "deployments"
+        dep_dir.mkdir(parents=True, exist_ok=True)
+        if base is None:
+            existing = set(os.listdir(dep_dir))
+            new_records = [rid for rid in u.deployments if f"{rid}.json" not in existing]
+        else:
+            new_records = [rid for rid in u.deployments if rid not in base.deployments]
+            for rid in new_records:
+                if (dep_dir / f"{rid}.json").exists():
+                    raise DuplicateUnitError(f"deployment record {rid!r} already exists")
+
+        if base is None or u.enterprise is not base.enterprise:
+            _write_json(root / "enterprise.json", enterprise_to_json(u.enterprise))
 
         catalog_dir = root / "catalog"
         for server, units in u.catalog.items():
+            if base is not None and base.catalog.get(server) is units:
+                continue
             server_dir = catalog_dir / server
             server_dir.mkdir(parents=True, exist_ok=True)
             wanted = {f"{unit.id}.json" for unit in units}
@@ -377,7 +400,7 @@ def save_universe(u: Universe, path: str | Path | None = None, writer_id: str = 
                     stale.unlink()
             for unit in units:
                 _write_json(server_dir / f"{unit.id}.json", unit_to_json(unit))
-        if catalog_dir.is_dir():
+        if catalog_dir.is_dir() and (base is None or u.catalog.keys() != base.catalog.keys()):
             for server_dir in catalog_dir.iterdir():
                 if server_dir.is_dir() and server_dir.name not in u.catalog:
                     for stale in server_dir.glob("*.json"):
@@ -386,16 +409,14 @@ def save_universe(u: Universe, path: str | Path | None = None, writer_id: str = 
 
         sites_dir = root / "sites"
         for site, state in u.site_states.items():
+            if base is not None and base.site_states.get(site) is state:
+                continue
             site_dir = sites_dir / site
             site_dir.mkdir(parents=True, exist_ok=True)
             _write_json(site_dir / "state.json", site_state_to_json(state))
 
-        dep_dir = root / "deployments"
-        dep_dir.mkdir(parents=True, exist_ok=True)
-        existing = set(os.listdir(dep_dir))
-        for rid, record in u.deployments.items():
-            if f"{rid}.json" not in existing:  # append-only
-                _write_json(dep_dir / f"{rid}.json", record.to_json())
+        for rid in new_records:  # append-only
+            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].to_json())
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -83,6 +83,18 @@ class TestParser:
             parse_expression("and = 1")
 
 
+def chain(op, terms):
+    return f" {op} ".join(["a = 1"] * terms)
+
+
+def nth_operator_offset(text, op, n):
+    """Offset of the n-th (1-based) ``op`` keyword in ``text``."""
+    offset = -1
+    for _ in range(n):
+        offset = text.index(f" {op} ", offset + 1) + 1
+    return offset
+
+
 class TestNestingCap:
     @pytest.mark.parametrize(
         "text",
@@ -90,8 +102,11 @@ class TestNestingCap:
             "(" * MAX_NESTING + "a = 1" + ")" * MAX_NESTING,
             "not " * MAX_NESTING + "a = 1",
             "not (" * (MAX_NESTING // 2) + "a = 1" + ")" * (MAX_NESTING // 2),
+            chain("and", MAX_NESTING + 1),
+            chain("or", MAX_NESTING + 1),
+            "(" + chain("and", MAX_NESTING // 2 + 1) + ") and " + chain("and", MAX_NESTING // 2),
         ],
-        ids=["parens", "not", "mixed"],
+        ids=["parens", "not", "mixed", "and-chain", "or-chain", "grouped-chains"],
     )
     def test_at_cap_parses_and_round_trips(self, text):
         e = parse_expression(text)
@@ -112,6 +127,26 @@ class TestNestingCap:
             parse_expression(text)
         assert info.value.code == "SYNTAX"
         assert info.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, op, n",
+        [
+            (chain("and", MAX_NESTING + 2), "and", MAX_NESTING + 1),
+            (chain("or", MAX_NESTING + 2), "or", MAX_NESTING + 1),
+            (chain("and", 5000), "and", MAX_NESTING + 1),
+            # Each group is within the cap; the tree they build together is not.
+            ("(" + chain("or", MAX_NESTING // 2 + 1) + ") or " + chain("or", MAX_NESTING // 2 + 1),
+             "or", MAX_NESTING + 1),
+            ("not " * (MAX_NESTING // 2) + chain("and", MAX_NESTING // 2 + 2), "and",
+             MAX_NESTING // 2 + 1),
+        ],
+        ids=["and", "or", "and-5000", "grouped-chains", "not-then-chain"],
+    )
+    def test_chain_past_cap_is_syntax_error_at_operator(self, text, op, n):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(text)
+        assert info.value.code == "SYNTAX"
+        assert info.value.offset == nth_operator_offset(text, op, n)
 
     def test_exists_paren_is_not_nesting(self):
         text = "(" * MAX_NESTING + "exists(a)" + ")" * MAX_NESTING

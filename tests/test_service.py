@@ -1,4 +1,5 @@
 import json
+import random
 import socket
 from dataclasses import replace
 
@@ -6,8 +7,10 @@ import pytest
 
 from conftest import make_enterprise, make_unit
 from orya import service as svc
+from orya import universe as universe_mod
 from orya.units import unit_to_json
-from orya.universe import empty_universe, save_universe, universe_digest
+from orya.universe import empty_universe, open_universe, save_universe, universe_digest
+from test_universe import count_writes, stat_snapshot
 
 
 @pytest.fixture
@@ -236,6 +239,7 @@ class TestCommittedUniverseUntouched:
 DEEP_FILTERS = {
     "parens": "(" * 5000 + 'os = "linux"' + ")" * 5000,
     "not": "not " * 5000 + 'os = "linux"',
+    "and-chain": " and ".join(['os = "linux"'] * 5000),
 }
 
 
@@ -271,6 +275,130 @@ class TestDeepExpressions:
             sock.close()
         finally:
             server.shutdown()
+
+
+def written_by(engine, req, monkeypatch):
+    """The documents ``req`` serialised, checked to be exactly those it created
+    or changed on disk."""
+    before = stat_snapshot(engine.store)
+    with monkeypatch.context() as patch:
+        serialised = count_writes(patch)
+        resp = engine.handle(req)
+    assert resp["ok"] and not resp.get("refusal"), resp
+    after = stat_snapshot(engine.store)
+    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    assert sorted(p.relative_to(engine.store).as_posix() for p in serialised) == changed
+    return changed
+
+
+class TestCommitWritesWhatChanged:
+    def test_toggles_write_one_state_and_one_record(self, store, monkeypatch):
+        engine = deployed_engine(store)
+        deactivate = {"op": "deactivate", "site": "site1", "unit": "editor-1.2"}
+        assert written_by(engine, deactivate, monkeypatch) == [
+            "deployments/d000001.json",
+            "sites/site1/state.json",
+        ]
+        activate = {"op": "activate", "site": "site1", "unit": "editor-1.2"}
+        assert written_by(engine, activate, monkeypatch) == [
+            "deployments/d000002.json",
+            "sites/site1/state.json",
+        ]
+
+    def test_set_prop_without_apply_writes_only_the_enterprise(self, store, monkeypatch):
+        engine = deployed_engine(store)
+        req = {"op": "set_prop", "site": "site1", "name": "os", "value": "win"}
+        assert written_by(engine, req, monkeypatch) == ["enterprise.json"]
+        assert written_by(engine, req, monkeypatch) == []  # the same value again
+
+    def test_publish_writes_only_the_new_unit(self, store, monkeypatch):
+        engine = deployed_engine(store)
+        before = stat_snapshot(store)
+        serialised = count_writes(monkeypatch)
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.3")})["ok"]
+        after = stat_snapshot(store)
+        assert [k for k in after if before.get(k) != after[k]] == ["catalog/srv1/editor-1.3.json"]
+        assert before.keys() <= after.keys()
+        # The server's units tuple changed, so its other units are compared too.
+        assert sorted(p.name for p in serialised) == [
+            "editor-1.0.json", "editor-1.2.json", "editor-1.3.json"
+        ]
+
+    def test_disk_follows_memory_over_random_ops(self, store):
+        rng = random.Random(7)
+        engine = deployed_engine(store)
+        done = 0
+        for step in range(40):
+            site = rng.choice(("site1", "site2"))
+            kind = rng.choice(("deploy", "pull", "undeploy", "toggle", "toggle", "set_prop"))
+            if kind == "deploy":
+                req = {"op": "deploy", "product": "editor", "sites": [site]}
+            elif kind == "pull":
+                if rng.random() < 0.5:
+                    manifest = editor_manifest(f"1.{step + 3}", rng.choice(((), ('os = "win"',))))
+                    assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
+                req = {"op": "pull", "site": site, "product": "editor"}
+            elif kind == "set_prop":
+                req = {"op": "set_prop", "site": site, "name": "os",
+                       "value": rng.choice(("linux", "win")), "apply": rng.random() < 0.5}
+            else:
+                state = engine.universe.site_states.get(site)
+                units = [du.unit_id for du in state.deployed_units] if state else []
+                units = units or ["editor-1.2"]
+                op = rng.choice(("activate", "deactivate")) if kind == "toggle" else "undeploy"
+                req = {"op": op, "site": site, "unit": rng.choice(units)}
+            resp = engine.handle(req)
+            done += resp["ok"] and not resp.get("refusal")
+            assert universe_digest(open_universe(store)) == universe_digest(engine.universe), req
+        assert done >= 15
+
+    def test_failed_save_reloads_the_engine(self, store, monkeypatch):
+        engine = deployed_engine(store)
+        write_json = universe_mod._write_json
+        calls = []
+
+        def fail_after_first(path, doc):
+            calls.append(path)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            write_json(path, doc)
+
+        monkeypatch.setattr(universe_mod, "_write_json", fail_after_first)
+        with pytest.raises(OSError):
+            engine.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.2"})
+        monkeypatch.setattr(universe_mod, "_write_json", write_json)
+
+        # The state was written, its record was not: the engine holds what is on disk.
+        assert [p.name for p in calls] == ["state.json", "d000001.json"]
+        assert universe_digest(engine.universe) == universe_digest(open_universe(store))
+        assert "d000001" not in engine.universe.deployments
+        resp = engine.handle({"op": "activate", "site": "site1", "unit": "editor-1.2"})
+        assert resp["ok"] and resp["report"]["entries"][0]["record"] == "d000001"
+        assert universe_digest(engine.universe) == universe_digest(open_universe(store))
+
+
+class TestTwoEngines:
+    def test_stale_engine_is_refused_then_recovers(self, store):
+        setup = svc.LocalEngine(store)
+        assert setup.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.0", ())})["ok"]
+        resp = setup.handle({"op": "deploy", "product": "editor", "group": "all"})
+        assert [e["record"] for e in resp["report"]["entries"]] == ["d000000", "d000001"]
+
+        a, b = svc.LocalEngine(store), svc.LocalEngine(store)
+        resp = a.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.0"})
+        assert resp["report"]["entries"][0]["record"] == "d000002"
+        site1 = (store / "sites" / "site1" / "state.json").read_bytes()
+
+        resp = b.handle({"op": "deactivate", "site": "site2", "unit": "editor-1.0"})
+        assert resp == error("DUPLICATE_UNIT", "deployment record 'd000002' already exists")
+        assert (store / "sites" / "site1" / "state.json").read_bytes() == site1
+        assert universe_digest(b.universe) == universe_digest(open_universe(store))
+
+        resp = b.handle({"op": "deactivate", "site": "site2", "unit": "editor-1.0"})
+        assert resp["ok"] and resp["report"]["entries"][0]["record"] == "d000003"
+        on_disk = open_universe(store)
+        assert universe_digest(on_disk) == universe_digest(b.universe)
+        assert [du.state for du in on_disk.site_states["site1"].deployed_units] == ["INSTALLED"]
 
 
 class TestTransports:

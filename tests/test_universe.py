@@ -10,6 +10,7 @@ import pytest
 from conftest import make_enterprise, make_unit
 from orya import orchestrator as orch
 from orya import simharness
+from orya import universe as universe_mod
 from orya.errors import (
     DuplicateUnitError,
     StoreCorruptError,
@@ -161,6 +162,18 @@ class TestCorruption:
             open_universe(root)
         assert exc.value.document == "deployments/d000001"
         assert exc.value.reason == "record id mismatch"
+
+    def test_gap_in_record_ids_fails_open(self, tmp_path):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        for rid in ("d000001", "d000002"):
+            u = record_deployment(u, make_record(rid))
+        save_universe(u)
+        (root / "deployments" / "d000000.json").unlink()
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == "deployments/d000000.json"
+        assert exc.value.reason == "missing record"
 
     def test_cross_validate_digest_mismatch(self):
         u = base_universe()
@@ -398,3 +411,70 @@ class TestRecordMemo:
         assert exc.value.document == "deployments/d000000"
         assert "process copy" in exc.value.reason
         assert first.deployments["d000000"].process.id == "p"
+
+
+def count_writes(monkeypatch):
+    """Record the path of every document ``save_universe`` serialises."""
+    written = []
+    write_json = universe_mod._write_json
+
+    def spy(path, doc):
+        written.append(path)
+        write_json(path, doc)
+
+    monkeypatch.setattr(universe_mod, "_write_json", spy)
+    return written
+
+
+class TestSaveOverBase:
+    def test_noop_save_serialises_nothing(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        save_universe(u)
+        before = stat_snapshot(root)
+        written = count_writes(monkeypatch)
+        save_universe(u, base=u)
+        assert written == []
+        assert stat_snapshot(root) == before
+
+    def test_only_changed_values_are_serialised(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        save_universe(u)
+        written = count_writes(monkeypatch)
+        changed = set_site_state(u, ClientSiteState(machine_id="site1"))
+        changed = record_deployment(changed, make_record("d000001"))
+        save_universe(changed, base=u)
+        assert [p.relative_to(root).as_posix() for p in written] == [
+            "sites/site1/state.json",
+            "deployments/d000001.json",
+        ]
+        written.clear()
+        published = publish_unit(changed, "srv1", make_unit("u-3"))
+        save_universe(published, base=changed)
+        # The server's units tuple changed, so its units are compared again.
+        assert sorted(p.name for p in written) == ["u-1.json", "u-2.json", "u-3.json"]
+        assert universe_digest(open_universe(root)) == universe_digest(published)
+
+    def test_unpublished_server_is_swept(self, tmp_path):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        save_universe(u)
+        emptied = replace(u, catalog={})
+        save_universe(emptied, base=u)
+        assert not (root / "catalog" / "srv1").exists()
+        assert open_universe(root).catalog == {}
+
+    def test_new_record_whose_file_exists_is_refused(self, tmp_path):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        save_universe(u)
+        # Another writer appends d000001 first.
+        save_universe(record_deployment(open_universe(root), make_record("d000001")))
+        before = stat_snapshot(root)
+        stale = set_site_state(u, ClientSiteState(machine_id="site1"))
+        stale = record_deployment(stale, make_record("d000001", unit="u-2"))
+        with pytest.raises(DuplicateUnitError):
+            save_universe(stale, base=u)
+        assert stat_snapshot(root) == before  # refused before any document is written
+        assert not (root / LOCK_FILE).exists()
