@@ -277,26 +277,35 @@ def print_literal(value: PropertyValue) -> str:
 
 def print_expression(expr: Expression) -> str:
     """Canonical text form; ``parse_expression`` round-trips it."""
+    return _render(expr, 0, False)
 
-    def render(node: Expression, parent_prec: int, right_of_binary: bool) -> str:
-        prec = _PRECEDENCE[type(node)]
-        if isinstance(node, Exists):
-            out = f"exists({node.name})"
-        elif isinstance(node, Compare):
-            out = f"{node.name} {node.op} {print_literal(node.literal)}"
-        elif isinstance(node, Not):
-            out = "not " + render(node.operand, prec, False)
-        elif isinstance(node, And):
-            out = render(node.left, prec, False) + " and " + render(node.right, prec, True)
-        else:
-            out = render(node.left, prec, False) + " or " + render(node.right, prec, True)
-        # Left-associative binaries: a right child at equal precedence needs
-        # parentheses to preserve the tree shape.
-        if prec < parent_prec or (prec == parent_prec and right_of_binary):
-            return "(" + out + ")"
-        return out
 
-    return render(expr, 0, False)
+def print_conjunction(exprs) -> str | None:
+    """``print_expression(conjunction(exprs))``, printed term by term, so a
+    chain of any length costs no recursion (None if empty)."""
+    terms = list(exprs)
+    if len(terms) <= 1:
+        return print_expression(terms[0]) if terms else None
+    return " and ".join(_render(e, _PRECEDENCE[And], i > 0) for i, e in enumerate(terms))
+
+
+def _render(node: Expression, parent_prec: int, right_of_binary: bool) -> str:
+    prec = _PRECEDENCE[type(node)]
+    if isinstance(node, Exists):
+        out = f"exists({node.name})"
+    elif isinstance(node, Compare):
+        out = f"{node.name} {node.op} {print_literal(node.literal)}"
+    elif isinstance(node, Not):
+        out = "not " + _render(node.operand, prec, False)
+    elif isinstance(node, And):
+        out = _render(node.left, prec, False) + " and " + _render(node.right, prec, True)
+    else:
+        out = _render(node.left, prec, False) + " or " + _render(node.right, prec, True)
+    # Left-associative binaries: a right child at equal precedence needs
+    # parentheses to preserve the tree shape.
+    if prec < parent_prec or (prec == parent_prec and right_of_binary):
+        return "(" + out + ")"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +461,19 @@ def check_standing(site, delta_footprint: Size | int = 0) -> list[StandingCheck]
 
     The conventional ``disk.free`` property is reduced by ``delta_footprint``
     (floored at zero) before evaluation; other properties are untouched.
-    ``site`` needs ``properties`` and ``standing_constraints`` attributes.
+    ``site`` needs ``properties`` and ``standing_constraints`` attributes; a
+    ``Machine`` also brings its parsed trees (``parsed_standing``), and any
+    other site's text is parsed here.
     """
     delta = delta_footprint.count if isinstance(delta_footprint, Size) else int(delta_footprint)
     props = dict(site.properties)
     free = props.get(DISK_FREE)
     if delta and isinstance(free, Size):
         props[DISK_FREE] = Size(max(0, free.count - delta))
-    checks = []
-    for text in site.standing_constraints:
-        expr = parse_expression(text)
-        checks.append(StandingCheck(text, evaluate(expr, props)))
-    return checks
+    trees = getattr(site, "parsed_standing", None)
+    if trees is None:
+        trees = [parse_expression(text) for text in site.standing_constraints]
+    return [
+        StandingCheck(text, evaluate(tree, props))
+        for text, tree in zip(site.standing_constraints, trees)
+    ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from . import expr as expr_mod
 from .errors import (
@@ -49,6 +50,12 @@ class Machine:
     standing_constraints: tuple[str, ...] = ()  # constraint source text
     group_ids: tuple[str, ...] = ()
 
+    @cached_property
+    def parsed_standing(self) -> tuple[expr_mod.Expression, ...]:
+        """The standing constraint trees, parsed on first use and kept with
+        the machine."""
+        return tuple(expr_mod.parse_expression(c) for c in self.standing_constraints)
+
 
 @dataclass(frozen=True)
 class User:
@@ -88,6 +95,11 @@ class DeployedUnit:
     @property
     def id(self) -> str:  # installed-unit protocol used by the safety checks
         return self.unit_id
+
+    @cached_property
+    def parsed_constraints(self) -> tuple[expr_mod.Expression, ...]:
+        """The constraint trees, parsed on first use and kept with the unit."""
+        return tuple(expr_mod.parse_expression(c) for c in self.constraints)
 
 
 @dataclass(frozen=True)

@@ -264,25 +264,28 @@ def push_deploy(u: Universe, req: DeployRequest, fleet) -> tuple[Universe, Fleet
 
     Per site: gather candidates across all app servers, select, execute the
     chosen unit's process, record the outcome. Sites with no admissible
-    candidate are skipped with the per-candidate reasons attached.
+    candidate are skipped with the per-candidate reasons attached. A unit's
+    process is built and validated once per push, the first time a site
+    chooses the unit.
     """
     units_by_id = _catalog_candidates(u, req.product_id)
     if not units_by_id:
         raise UnknownProductError(f"product {req.product_id!r} not in any catalog")
     filters = _parse_filters(req.extra_filters)
     targets = resolve_targets(u.enterprise, req.target)
+    processes: dict[str, ProcessDef | None] = {}  # unit id -> process, None if invalid
 
     entries: list[SiteOutcome] = []
     for site_id in sorted(targets):
         try:
-            entry, u = _deploy_one(u, fleet, site_id, req, units_by_id, filters)
+            entry, u = _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes)
         except Exception as err:  # per-site isolation: never abort the loop
             entry = SiteOutcome(site_id, "FAILED", reason=str(err))
         entries.append(entry)
     return u, FleetReport(tuple(entries))
 
 
-def _deploy_one(u, fleet, site_id, req, units_by_id, filters):
+def _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes):
     handle = fleet.sites[site_id]
     view = _site_view(site_id, handle)
     state = handle.get_state()
@@ -303,9 +306,11 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, filters):
         return SiteOutcome(site_id, "WOULD_DEPLOY", unit_id=sel.chosen, selection=sel), u
 
     unit = units_by_id[sel.chosen]
-    process = unit.process or default_process_for(unit)
-    report = validate_process(process)
-    if not report.ok:
+    if unit.id not in processes:
+        process = unit.process or default_process_for(unit)
+        processes[unit.id] = process if validate_process(process).ok else None
+    process = processes[unit.id]
+    if process is None:
         return SiteOutcome(site_id, "FAILED", reason="INVALID_PROCESS", selection=sel), u
     u, record = _run_process(u, fleet, site_id, unit, process, req.mode, units_by_id)
     outcome = _STATUS_OUTCOME[record.trace.status]
@@ -422,8 +427,8 @@ def on_property_change(
         if du.state not in ("INSTALLED", "ACTIVE"):
             continue
         reasons: list[str] = []
-        for text in du.constraints:
-            outcome = expr_mod.evaluate(expr_mod.parse_expression(text), view.properties)
+        for text, tree in zip(du.constraints, du.parsed_constraints):
+            outcome = expr_mod.evaluate(tree, view.properties)
             if outcome.status is not Status.SATISFIED:
                 reasons.append(f"{outcome.status.value}: {text}")
         if not standing_ok:

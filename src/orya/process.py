@@ -15,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Protocol
 
 from . import expr as expr_mod
@@ -92,6 +93,13 @@ class Activity:
             if k == name:
                 return v
         return default
+
+    @cached_property
+    def expression(self) -> expr_mod.Expression | None:
+        """The parsed ``expr`` of a verify (None when absent), parsed on first
+        use and kept with the activity."""
+        text = self.param("expr")
+        return None if text is None else expr_mod.parse_expression(text)
 
 
 @dataclass(frozen=True)
@@ -214,42 +222,14 @@ def activities(step: Step, path: str = "root"):
             yield from activities(child, f"{path}.{i}")
 
 
-def linearizations(step: Step, path: str = "root"):
-    """All interleavings of the tree as lists of (path, activity)."""
-    if isinstance(step, Activity):
-        return [[(path, step)]]
-    if isinstance(step, Seq):
-        result = [[]]
-        for i, child in enumerate(step.steps):
-            child_lins = linearizations(child, f"{path}.{i}")
-            result = [pre + lin for pre in result for lin in child_lins]
-        return result
-    branch_lins = [linearizations(c, f"{path}.{i}") for i, c in enumerate(step.branches)]
-    result = [[]]
-    for lins in branch_lins:
-        merged = []
-        for pre in result:
-            for lin in lins:
-                merged.extend(_interleave(pre, lin))
-        result = merged
-    return result
-
-
-def _interleave(a: list, b: list) -> list[list]:
-    if not a:
-        return [list(b)]
-    if not b:
-        return [list(a)]
-    return [[a[0]] + rest for rest in _interleave(a[1:], b)] + [
-        [b[0]] + rest for rest in _interleave(a, b[1:])
-    ]
-
-
 def validate_process(p: ProcessDef) -> ProcessReport:
     """Structural and lifecycle-plausibility validation.
 
     A process is lifecycle-plausible when some start state makes every
-    linearization of its parallel branches legal under the transition table.
+    interleaving of its parallel branches legal under the transition table.
+    That is decided by reachability over (progress, lifecycle state) pairs,
+    each visited at most once per start state, never by listing the
+    interleavings.
     """
     violations: list[ProcessViolation] = []
     acts = list(activities(p.root))
@@ -263,37 +243,22 @@ def validate_process(p: ProcessDef) -> ProcessReport:
                     ProcessViolation("MISSING_PARAM", path, f"{act.kind.value} needs {name!r}")
                 )
         if act.kind is ActivityKind.VERIFY:
-            text = act.param("expr")
-            if text is not None:
-                try:
-                    expr_mod.parse_expression(text)
-                except expr_mod.ExpressionSyntaxError as err:
-                    violations.append(ProcessViolation("BAD_EXPR", path, err.message))
+            try:
+                act.expression  # parsed once, then reused by every execution
+            except expr_mod.ExpressionSyntaxError as err:
+                violations.append(ProcessViolation("BAD_EXPR", path, err.message))
 
     feasible: list[LifecycleState] = []
     if acts and not violations:
-        lins = linearizations(p.root)
-        best_witness = None
-        best_depth = -1
+        witness = None
         for start in START_STATES:
-            failed = None
-            for lin in lins:
-                state = start
-                for depth, (path, act) in enumerate(lin):
-                    try:
-                        state = transition(state, act.kind)
-                    except IllegalTransitionError:
-                        if depth > best_depth:
-                            best_depth = depth
-                            best_witness = (path, state, act.kind, start)
-                        failed = True
-                        break
-                if failed:
-                    break
-            if not failed:
+            illegal = _deepest_illegal(p.root, start)
+            if illegal is None:
                 feasible.append(start)
+            elif witness is None or illegal[0] > witness[0][0]:
+                witness = (illegal, start)
         if not feasible:
-            path, state, kind, start = best_witness
+            (_, path, state, kind), start = witness
             violations.append(
                 ProcessViolation(
                     "ILLEGAL_SEQUENCE",
@@ -303,6 +268,76 @@ def validate_process(p: ProcessDef) -> ProcessReport:
             )
 
     return ProcessReport(tuple(violations), tuple(feasible))
+
+
+# Progress through a step tree: 0 for an activity not yet run, (child index,
+# child progress) for a seq, a tuple of branch progresses for a par, and None
+# once the step has run in full. Equal progress means the same activities
+# have completed.
+
+
+def _initial(step: Step):
+    if isinstance(step, Activity):
+        return 0
+    if isinstance(step, Seq):
+        return _next_child(step, 0)
+    progress = tuple(_initial(b) for b in step.branches)
+    return None if all(q is None for q in progress) else progress
+
+
+def _next_child(seq: Seq, k: int):
+    """Progress at the first child from ``k`` on that has work left."""
+    for i in range(k, len(seq.steps)):
+        progress = _initial(seq.steps[i])
+        if progress is not None:
+            return (i, progress)
+    return None
+
+
+def _moves(step: Step, progress, path: str):
+    """Each activity that may run next, as (path, kind, progress after it)."""
+    if isinstance(step, Activity):
+        yield path, step.kind, None
+    elif isinstance(step, Seq):
+        k, inner = progress
+        for leaf, kind, after in _moves(step.steps[k], inner, f"{path}.{k}"):
+            yield leaf, kind, _next_child(step, k + 1) if after is None else (k, after)
+    else:
+        for i, inner in enumerate(progress):
+            if inner is None:
+                continue
+            for leaf, kind, after in _moves(step.branches[i], inner, f"{path}.{i}"):
+                new = progress[:i] + (after,) + progress[i + 1 :]
+                yield leaf, kind, None if all(q is None for q in new) else new
+
+
+def _deepest_illegal(root: Step, start: LifecycleState):
+    """Breadth-first over the (progress, state) pairs reachable from ``start``.
+
+    Layer n holds the pairs after n completed activities, so each pair is
+    visited once. Returns the illegal step reached after the most completed
+    activities, as (depth, path, state, kind), or None when every
+    interleaving is legal from ``start``.
+    """
+    layer = {(_initial(root), start): None}
+    deepest = None
+    depth = 0
+    while layer:
+        found = None
+        following = {}
+        for progress, state in layer:
+            if progress is None:
+                continue
+            for path, kind, after in _moves(root, progress, "root"):
+                new_state = _TRANSITIONS.get((state, kind))
+                if new_state is None:
+                    found = found or (depth, path, state, kind)
+                else:
+                    following[(after, new_state)] = None
+        deepest = found or deepest
+        layer = following
+        depth += 1
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +510,14 @@ def default_process_for(unit) -> ProcessDef:
         Activity.make(ActivityKind.TRANSFER, resource=r.name) for r in unit.resources
     ]
     steps.append(Activity.make(ActivityKind.INSTALL))
-    conj = expr_mod.conjunction(expr_mod.parse_expression(c) for c in unit.constraints)
-    if conj is None:
-        steps.append(Activity.make(ActivityKind.VERIFY))
-    else:
-        steps.append(Activity.make(ActivityKind.VERIFY, expr=expr_mod.print_expression(conj)))
+    steps.append(default_verify(unit))
     steps.append(Activity.make(ActivityKind.ACTIVATE))
     return ProcessDef(id=f"{unit.id}.install", root=Seq(tuple(steps)))
+
+
+def default_verify(unit) -> Activity:
+    """The template's verify step: the unit's constraints joined by "and"."""
+    text = expr_mod.print_conjunction(unit.parsed_constraints)
+    if text is None:
+        return Activity.make(ActivityKind.VERIFY)
+    return Activity.make(ActivityKind.VERIFY, expr=text)

@@ -111,7 +111,7 @@ def select_package(
             if not filter_outcome.is_satisfied:
                 reasons.append("FILTERED")
 
-        parsed = unit.parsed_constraints()
+        parsed = unit.parsed_constraints
         if parsed:
             constraint_outcome = functools.reduce(
                 expr_mod.combine_and, (expr_mod.evaluate(e, site.properties) for e in parsed)

@@ -84,6 +84,10 @@ class LocalEngine:
         self.universe = u
 
     def handle(self, req: dict) -> dict:
+        """A domain error answers by its code and a malformed request as
+        USAGE; any other fault propagates to the caller."""
+        if not isinstance(req, dict):
+            return _error("USAGE", "request must be a JSON object")
         op = req.get("op")
         handler = getattr(self, f"op_{op}", None) if isinstance(op, str) else None
         if handler is None:
@@ -235,16 +239,25 @@ def _parse_addr(addr: str):
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode().strip()
-            if not line:
-                continue
+            # A line that is not UTF-8, not JSON, or nested past the decoder's
+            # recursion limit gets a USAGE answer, and an unexpected fault in
+            # the op a last-resort INTERNAL; the connection stays open.
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 req = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
                 resp = _error("USAGE", f"bad request line: {err}")
             else:
                 with self.server.engine_lock:
-                    resp = self.server.engine.handle(req)
+                    try:
+                        resp = self.server.engine.handle(req)
+                    except Exception as err:
+                        import traceback  # only on this path: a cold CLI start does not pay for it
+
+                        traceback.print_exc()
+                        resp = _error("INTERNAL", f"{type(err).__name__}: {err}")
             self.wfile.write((json.dumps(resp, sort_keys=True) + "\n").encode())
             self.wfile.flush()
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import OryaError, StepFailure, UnknownUnitError
-from .expr import DISK_FREE, evaluate, parse_expression
+from .expr import DISK_FREE, evaluate
 from .model import (
     ClientSiteState,
     DeployedUnit,
@@ -291,9 +291,8 @@ class SimulatedSite:
             return {"kind": kind.value, "dst": dst, "existed": existed, "old": old}
 
         if kind is ActivityKind.VERIFY:
-            text = activity.param("expr")
-            if text is not None:
-                outcome = evaluate(parse_expression(text), self.properties)
+            if activity.expression is not None:
+                outcome = evaluate(activity.expression, self.properties)
                 if not outcome.is_satisfied:
                     raise StepFailure(f"verify failed: {json.dumps(outcome.to_json())}")
             return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as expr_mod
 from .process import ProcessDef, process_from_json, process_to_json
@@ -42,8 +43,10 @@ class PackagedUnit:
     def version(self) -> Version:
         return self.product_version
 
-    def parsed_constraints(self):
-        return [expr_mod.parse_expression(c) for c in self.constraints]
+    @cached_property
+    def parsed_constraints(self) -> tuple[expr_mod.Expression, ...]:
+        """The constraint trees, parsed on first use and kept with the unit."""
+        return tuple(expr_mod.parse_expression(c) for c in self.constraints)
 
 
 _MANIFEST_KEYS = {

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from .errors import (
     DuplicateUnitError,
+    ExpressionSyntaxError,
     StoreCorruptError,
     StoreLockedError,
     UnknownTargetError,
@@ -53,6 +54,7 @@ from .model import (
 from .process import (
     ExecutionTrace,
     ProcessDef,
+    default_verify,
     process_digest,
     process_from_json,
     process_to_json,
@@ -437,6 +439,13 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
+    """Add ``unit`` to a server's catalog.
+
+    A unit with no process deploys by the default template, whose verify joins
+    all its constraints by "and". When that expression would nest deeper than
+    ``expr.MAX_NESTING`` the unit is refused here (SYNTAX), not at every
+    deploy; a store that already holds such a unit still opens.
+    """
     machines = {m.id: m for m in u.enterprise.machines}
     m = machines.get(server_id)
     if m is None or m.kind is not MachineKind.APP_SERVER:
@@ -444,6 +453,13 @@ def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
     units = u.catalog.get(server_id, ())
     if any(existing.id == unit.id for existing in units):
         raise DuplicateUnitError(f"unit {unit.id!r} already published on {server_id!r}")
+    if unit.process is None:
+        try:
+            default_verify(unit).expression
+        except ExpressionSyntaxError as err:
+            raise ExpressionSyntaxError(
+                f"default verify of unit {unit.id!r}: nesting too deep", err.offset, err.expected
+            ) from None
     catalog = dict(u.catalog)
     catalog[server_id] = tuple(sorted(units + (unit,), key=lambda x: x.id))
     return replace(u, catalog=catalog)

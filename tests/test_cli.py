@@ -149,6 +149,22 @@ class TestLifecycleCommands:
         assert code == 0
         assert doc["report"]["entries"][0]["outcome"] == "REMOVED"
 
+    def test_failed_store_write_is_a_plain_error(self, store, tmp_path, capsys, monkeypatch):
+        from orya import universe as universe_mod
+
+        publish_editor(store, tmp_path, capsys)
+        run(store, "deploy", "--product", "editor", "--site", "site1")
+        capsys.readouterr()
+
+        def disk_full(path, doc):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(universe_mod, "_write_json", disk_full)
+        assert run(store, "deactivate", "--site", "site1", "--unit", "editor-1.2") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "orya: disk full\n"
+        assert captured.out == ""
+
     def test_activate_when_active_is_refusal(self, store, tmp_path, capsys):
         publish_editor(store, tmp_path, capsys)
         run(store, "deploy", "--product", "editor", "--site", "site1")

@@ -2,9 +2,13 @@ from dataclasses import replace
 
 import pytest
 
+from collections import Counter
+
 from conftest import make_enterprise, make_unit
+from orya import expr as expr_mod
 from orya import orchestrator as orch
 from orya.errors import NotDeployedError, UnknownProductError, UnknownUnitError
+from orya.process import Activity, ActivityKind, ProcessDef, Seq
 from orya.safety import ConflictKind
 from orya.simharness import Fault, build_fleet, inject
 from orya.universe import empty_universe, publish_unit, universe_digest
@@ -113,6 +117,99 @@ class TestPushDeploy:
         assert report.entries[0].outcome == "DEPLOYED"
         # srv1 sorts first, so its copy (1MB footprint) won
         assert u.site_states["s1"].deployed_units[0].footprint == Size(10**6)
+
+
+STANDING = "disk.free >= 1MB"
+
+
+def mixed_fleet(n=4):
+    """``n`` linux and ``n`` windows sites sharing one standing constraint, and
+    three candidates: two that only linux admits and one that only windows does."""
+    sites = {f"l{i}": (LINUX, (STANDING,)) for i in range(n)}
+    sites.update({f"w{i}": (WIN, (STANDING,)) for i in range(n)})
+    units = [
+        ("srv1", linux_unit("ed-1.0", constraints=['os = "linux"', "disk.free >= 2MB"])),
+        ("srv1", linux_unit("ed-1.1", version="1.1", constraints=['os = "linux"', "exists(os)"])),
+        ("srv1", linux_unit("ed-w", constraints=['os = "win"'])),
+    ]
+    return make_universe(sites, units), 2 * n
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestUnitWorkOncePerPush:
+    def test_each_chosen_unit_is_validated_once(self, monkeypatch):
+        u, n_sites = mixed_fleet()
+        validated = counting(monkeypatch, orch, "validate_process")
+        fleet = build_fleet(u)
+        u, report = deploy(u, fleet, sites=tuple(sorted(fleet.sites)))
+        assert report.summary == {"DEPLOYED": n_sites}
+        assert sorted(p.id for p in validated) == ["ed-1.1.install", "ed-w.install"]
+
+    def test_each_text_is_parsed_once_per_value(self, monkeypatch):
+        u, n_sites = mixed_fleet()
+        fleet = build_fleet(u)
+        parsed = Counter()
+        monkeypatch.setattr(
+            expr_mod,
+            "parse_expression",
+            lambda text, parse=expr_mod.parse_expression: parsed.update([text]) or parse(text),
+        )
+        u, report = deploy(u, fleet, sites=tuple(sorted(fleet.sites)))
+        assert report.summary == {"DEPLOYED": n_sites}
+        # Each site's view of its machine is one value, whatever the number
+        # of candidates its standing constraint is checked against.
+        assert parsed.pop(STANDING) == n_sites
+        # The units' own text was parsed when they were published; the push
+        # parses only each chosen unit's verify, once.
+        assert parsed == Counter({'os = "linux" and exists(os)': 1, 'os = "win"': 1})
+
+    def test_unit_text_is_parsed_once_per_unit(self, monkeypatch):
+        unit = linux_unit(constraints=['os = "linux"', "exists(os)"])
+        parsed = counting(monkeypatch, expr_mod, "parse_expression")
+        u = make_universe({f"s{i}": (LINUX, ()) for i in range(3)}, [("srv1", unit)])
+        deploy(u, build_fleet(u), sites=("s0", "s1", "s2"))
+        assert parsed.count('os = "linux"') == 1
+        assert parsed.count("exists(os)") == 1
+
+    def test_a_second_push_reuses_the_unit_trees(self, monkeypatch):
+        u, _ = mixed_fleet()
+        fleet = build_fleet(u)
+        u, _ = deploy(u, fleet, sites=("l0",))
+        parsed = counting(monkeypatch, expr_mod, "parse_expression")
+        deploy(u, fleet, sites=("w0",))
+        assert 'os = "linux"' not in parsed
+
+    def test_invalid_process_fails_every_site_that_chooses_it(self, monkeypatch):
+        bad = ProcessDef(
+            "ed-1.0.bad",
+            Seq((Activity.make(ActivityKind.ACTIVATE), Activity.make(ActivityKind.ACTIVATE))),
+        )
+        u = make_universe(
+            {f"s{i}": (LINUX, ()) for i in range(3)} | {"w": (WIN, ())},
+            [("srv1", linux_unit(process=bad))],
+        )
+        validated = counting(monkeypatch, orch, "validate_process")
+        u, report = deploy(u, build_fleet(u), sites=("s0", "s1", "s2", "w"))
+        outcomes = {e.site_id: (e.outcome, e.reason) for e in report.entries}
+        assert outcomes == {
+            "s0": ("FAILED", "INVALID_PROCESS"),
+            "s1": ("FAILED", "INVALID_PROCESS"),
+            "s2": ("FAILED", "INVALID_PROCESS"),
+            "w": ("SKIPPED", "NO_ADMISSIBLE"),
+        }
+        assert validated == [bad]
+        assert not u.deployments
 
 
 class TestBrokerIsolation:

@@ -1,7 +1,12 @@
 import itertools
 import random
+import re
 
-from orya.errors import StepFailure
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from orya.errors import IllegalTransitionError, StepFailure
+from orya.expr import conjunction, parse_expression, print_expression
 from orya.process import (
     Activity,
     ActivityKind,
@@ -21,7 +26,7 @@ from orya.process import (
     transition,
     validate_process,
 )
-from conftest import make_unit
+from conftest import make_unit, random_expression
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -52,6 +57,118 @@ def random_tree(rng: random.Random, budget: int):
     right = random_tree(rng, budget - cut)
     cls = Seq if rng.random() < 0.6 else Par
     return cls((left, right))
+
+
+ALL_KINDS = [k.value for k in ActivityKind]
+
+
+def leaf(kind):
+    if kind == "transfer":
+        return act("transfer", resource="r")
+    if kind == "copy":
+        return act("copy", **{"from": "a", "to": "b"})
+    if kind == "configure":
+        return act("configure", params={"k": "v"})
+    if kind == "update":
+        return act("update", unit="u2")
+    return act(kind)
+
+
+# Modest trees over every activity kind, empty seq/par children included.
+trees = st.recursive(
+    st.sampled_from(ALL_KINDS).map(leaf),
+    lambda children: st.builds(Seq, st.lists(children, max_size=3).map(tuple))
+    | st.builds(Par, st.lists(children, max_size=3).map(tuple)),
+    max_leaves=6,
+)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle: list every interleaving, run each from each start.
+
+
+def oracle_lins(step, path="root"):
+    """Every interleaving of ``step`` as a list of (path, kind)."""
+    if isinstance(step, Activity):
+        return [[(path, step.kind)]]
+    if isinstance(step, Seq):
+        outs = [[]]
+        for i, child in enumerate(step.steps):
+            outs = [a + b for a in outs for b in oracle_lins(child, f"{path}.{i}")]
+        return outs
+    # Par: all order-preserving merges of the branch linearizations
+    outs = [[]]
+    for i, child in enumerate(step.branches):
+        merged = []
+        for a in outs:
+            for b in oracle_lins(child, f"{path}.{i}"):
+                for pick in itertools.combinations(range(len(a) + len(b)), len(a)):
+                    slots = [None] * (len(a) + len(b))
+                    ai = iter(a)
+                    bi = iter(b)
+                    for j in range(len(slots)):
+                        slots[j] = next(ai) if j in pick else next(bi)
+                    merged.append(slots)
+        outs = merged
+    return outs
+
+
+def oracle_feasible(tree):
+    feasible = []
+    for start in (
+        LifecycleState.ABSENT,
+        LifecycleState.STAGED,
+        LifecycleState.INSTALLED,
+        LifecycleState.ACTIVE,
+    ):
+        ok = True
+        for lin in oracle_lins(tree):
+            state = start
+            try:
+                for _, kind in lin:
+                    state = transition(state, kind)
+            except IllegalTransitionError:
+                ok = False
+                break
+        if ok:
+            feasible.append(start)
+    return feasible
+
+
+def count_expanded(monkeypatch):
+    """The (progress, state) pairs validation expands, one entry each."""
+    from orya import process as process_mod
+
+    expanded = []
+    moves = process_mod._moves
+
+    def counting(step, progress, path):
+        if path == "root":
+            expanded.append(progress)
+        return moves(step, progress, path)
+
+    monkeypatch.setattr(process_mod, "_moves", counting)
+    return expanded
+
+
+def oracle_reaches(tree, path, state, kind, start):
+    """Some interleaving, run legally from ``start``, reaches the activity at
+    ``path`` in ``state``, where ``kind`` is illegal."""
+    for lin in oracle_lins(tree):
+        current = start
+        for step_path, step_kind in lin:
+            if step_path == path:
+                if (current, step_kind) == (state, kind):
+                    try:
+                        transition(current, step_kind)
+                    except IllegalTransitionError:
+                        return True
+                break
+            try:
+                current = transition(current, step_kind)
+            except IllegalTransitionError:
+                break
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -144,57 +261,115 @@ class TestValidation:
             cls = Seq if rng.random() < 0.7 else Par
             return cls((rand_lifecycle_tree(cut), rand_lifecycle_tree(budget - cut)))
 
-        def oracle_lins(step):
-            if isinstance(step, Activity):
-                return [[step.kind]]
-            if isinstance(step, Seq):
-                outs = [[]]
-                for child in step.steps:
-                    outs = [a + b for a in outs for b in oracle_lins(child)]
-                return outs
-            # Par: all order-preserving merges of the branch linearizations
-            outs = [[]]
-            for child in step.branches:
-                merged = []
-                for a in outs:
-                    for b in oracle_lins(child):
-                        for pick in itertools.combinations(range(len(a) + len(b)), len(a)):
-                            slots = [None] * (len(a) + len(b))
-                            ai = iter(a)
-                            bi = iter(b)
-                            for i in range(len(slots)):
-                                slots[i] = next(ai) if i in pick else next(bi)
-                            merged.append(slots)
-                outs = merged
-            return outs
-
-        def oracle_feasible(tree):
-            feasible = []
-            for start in (
-                LifecycleState.ABSENT,
-                LifecycleState.STAGED,
-                LifecycleState.INSTALLED,
-                LifecycleState.ACTIVE,
-            ):
-                ok = True
-                for lin in oracle_lins(tree):
-                    state = start
-                    try:
-                        for kind in lin:
-                            state = transition(state, kind)
-                    except Exception:
-                        ok = False
-                        break
-                if ok:
-                    feasible.append(start)
-            return feasible
-
         for _ in range(60):
             tree = rand_lifecycle_tree(rng.randrange(1, 5))
             report = validate_process(proc(tree))
             expected = oracle_feasible(tree)
             assert list(report.feasible_starts) == expected
             assert report.ok == bool(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    def test_feasible_starts_match_oracle_on_random_trees(self, tree):
+        assume(any(True for _ in activities(tree)))
+        report = validate_process(proc(tree))
+        expected = oracle_feasible(tree)
+        assert list(report.feasible_starts) == expected
+        assert report.ok == bool(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    def test_illegal_sequence_witness_is_reached_by_an_interleaving(self, tree):
+        assume(any(True for _ in activities(tree)))
+        assume(not oracle_feasible(tree))
+        (violation,) = validate_process(proc(tree)).violations
+        assert violation.code == "ILLEGAL_SEQUENCE"
+        kind, state, start = re.fullmatch(
+            r"(\w+) from (\w+) \(start (\w+)\)", violation.detail
+        ).groups()
+        assert oracle_reaches(
+            tree,
+            violation.path,
+            LifecycleState(state),
+            ActivityKind(kind),
+            LifecycleState(start),
+        )
+
+    def test_witness_names_the_start_that_gets_furthest(self):
+        report = validate_process(proc(Seq((act("activate"), act("activate")))))
+        (violation,) = report.violations
+        assert (violation.path, violation.detail) == (
+            "root.1",
+            "activate from ACTIVE (start INSTALLED)",
+        )
+
+    def test_wide_par_validates_in_polynomial_time(self, monkeypatch):
+        # 4 branches of 5 verifies: 20!/(5!)^4, about 1.2e10, interleavings,
+        # but only 6^4 = 1296 progress points per start state.
+        tree = Par(tuple(Seq(tuple(act("verify") for _ in range(5))) for _ in range(4)))
+        expanded = count_expanded(monkeypatch)
+        report = validate_process(proc(tree))
+        assert report.feasible_starts == (
+            LifecycleState.STAGED,
+            LifecycleState.INSTALLED,
+            LifecycleState.ACTIVE,
+        )
+        assert 3 * (6**4 - 1) <= len(expanded) <= 4 * 6**4
+
+    def test_long_seq_validates_in_linear_time(self, monkeypatch):
+        tree = Seq((act("install"),) + tuple(act("verify") for _ in range(5000)))
+        expanded = count_expanded(monkeypatch)
+        report = validate_process(proc(tree))
+        assert report.ok
+        assert len(expanded) <= 4 * 5001
+
+    def test_verify_expression_is_parsed_once_per_activity(self, monkeypatch):
+        from orya import expr as expr_mod
+
+        texts = []
+        parse = expr_mod.parse_expression
+        monkeypatch.setattr(expr_mod, "parse_expression", lambda t: texts.append(t) or parse(t))
+        verify = act("verify", expr='os = "linux"')
+        p = proc(Seq((act("install"), verify)))
+        validate_process(p)
+        validate_process(p)
+        assert verify.expression == parse('os = "linux"')
+        assert texts == ['os = "linux"']
+
+
+class TestDefaultTemplate:
+    def test_verify_text_is_the_printed_conjunction(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            exprs = [random_expression(rng, 3) for _ in range(rng.randrange(0, 6))]
+            unit = make_unit("u", constraints=[print_expression(e) for e in exprs])
+            verify = default_process_for(unit).root.steps[-2]
+            conj = conjunction(unit.parsed_constraints)
+            expected = None if conj is None else print_expression(conj)
+            assert verify.param("expr") == expected
+
+    def test_long_constraint_list_prints_without_recursion(self):
+        unit = make_unit("u", constraints=['os = "linux"'] * 5000)
+        verify = default_process_for(unit).root.steps[-2]
+        assert verify.param("expr") == " and ".join(['os = "linux"'] * 5000)
+        report = validate_process(default_process_for(unit))
+        assert [v.code for v in report.violations] == ["BAD_EXPR"]
+
+    def test_digests_pinned(self):
+        unit = make_unit(
+            "u",
+            resources=[("r1", 10, "d1")],
+            constraints=['os = "linux"', "a = 1 or b = 2", "not exists(x)"],
+        )
+        p = default_process_for(unit)
+        text = p.root.steps[2].param("expr")
+        assert text == 'os = "linux" and (a = 1 or b = 2) and not exists(x)'
+        assert parse_expression(text) == conjunction(unit.parsed_constraints)
+        assert process_digest(p) == "d6d093f7f796cade69c881f0f10abeb73efa00402a465f361de944dbd9da02bd"
+        assert (
+            process_digest(default_process_for(make_unit("v")))
+            == "efbe99133a2218e87030055c0fe03e27b1e06a6463ccb315e737426a24216ecd"
+        )
 
 
 # ---------------------------------------------------------------------------

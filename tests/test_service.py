@@ -277,6 +277,104 @@ class TestDeepExpressions:
             server.shutdown()
 
 
+def many_linux(copies):
+    return editor_manifest("3.0", ('os = "linux"',) * copies)
+
+
+class TestDeepDefaultVerify:
+    """A unit with no process verifies all its constraints joined by "and"."""
+
+    def test_publish_refuses_past_the_cap_and_writes_nothing(self, store):
+        engine = svc.LocalEngine(store)
+        for copies in (102, 150, 1200):
+            before = stat_snapshot(store)
+            resp = engine.handle({"op": "publish", "server": "srv1", "manifest": many_linux(copies)})
+            assert resp["error"]["code"] == "SYNTAX", copies
+            assert "default verify of unit 'editor-3.0'" in resp["error"]["message"]
+            assert stat_snapshot(store) == before
+            assert not engine.universe.catalog.get("srv1")
+
+    def test_at_the_cap_publishes_and_deploys(self, store):
+        engine = svc.LocalEngine(store)
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": many_linux(101)})["ok"]
+        resp = engine.handle({"op": "deploy", "product": "editor", "sites": ["site1"]})
+        assert resp["report"]["summary"] == {"DEPLOYED": 1}
+
+    @pytest.mark.parametrize("copies", [150, 1200])
+    def test_a_stored_unit_past_the_cap_opens_and_is_an_invalid_process(self, store, copies):
+        from orya.units import unit_from_json
+
+        u = open_universe(store)
+        unit = unit_from_json(many_linux(copies))
+        save_universe(replace(u, catalog={"srv1": (unit,)}))
+        engine = svc.LocalEngine(store)
+        resp = engine.handle({"op": "deploy", "product": "editor", "group": "all"})
+        entries = {e["site"]: (e["outcome"], e.get("reason")) for e in resp["report"]["entries"]}
+        assert entries == {
+            "site1": ("FAILED", "INVALID_PROCESS"),
+            "site2": ("SKIPPED", "NO_ADMISSIBLE"),
+        }
+
+
+BAD_LINES = {
+    "not-utf8": b"\xff\n",
+    "deep-json": b"[" * 100_000 + b"\n",
+    "not-an-object": b"[1]\n",
+    "not-json": b"{not json\n",
+}
+
+
+class TestOneAnswerPerLine:
+    def test_non_object_request_is_usage(self, store):
+        resp = svc.LocalEngine(store).handle([1])
+        assert resp == error("USAGE", "request must be a JSON object")
+
+    def test_unexpected_fault_propagates_from_the_engine(self, store, monkeypatch):
+        engine = svc.LocalEngine(store)
+
+        def explode(req):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine, "op_digest", explode)
+        with pytest.raises(RuntimeError):
+            engine.handle({"op": "digest"})
+
+    def test_unexpected_fault_is_internal_over_the_socket(self, store, tmp_path, monkeypatch, capsys):
+        server = svc.ServiceServer(store, str(tmp_path / "s.sock"))
+
+        def explode(req):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.engine, "op_digest", explode)
+        server.start_background()
+        try:
+            assert svc.request(server.address, {"op": "digest"}) == error("INTERNAL", "RuntimeError: boom")
+            assert svc.request(server.address, {"op": "ping"}) == {"ok": True, "pong": True}
+        finally:
+            server.shutdown()
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_unix_socket_answers_every_bad_line_and_keeps_the_connection(self, store, tmp_path):
+        server = svc.ServiceServer(store, str(tmp_path / "s.sock"))
+        server.start_background()
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(server.address)
+            f = sock.makefile("rwb")
+            for kind in sorted(BAD_LINES):
+                f.write(BAD_LINES[kind])
+                f.flush()
+                resp = json.loads(f.readline())
+                assert resp["error"]["code"] == "USAGE", kind
+            f.write(json.dumps({"op": "ping"}).encode() + b"\n")
+            f.flush()
+            assert json.loads(f.readline()) == {"ok": True, "pong": True}
+            f.close()
+            sock.close()
+        finally:
+            server.shutdown()
+
+
 def written_by(engine, req, monkeypatch):
     """The documents ``req`` serialised, checked to be exactly those it created
     or changed on disk."""
