@@ -58,6 +58,12 @@ class ExpressionSyntaxError(OryaError):
         self.expected = expected
 
 
+class ProcessTooLargeError(OryaError):
+    """A unit's process has more progress points than validation may visit."""
+
+    code = "PROCESS_TOO_LARGE"
+
+
 class IllegalTransitionError(OryaError):
     code = "ILLEGAL_TRANSITION"
 

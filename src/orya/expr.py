@@ -461,19 +461,15 @@ def check_standing(site, delta_footprint: Size | int = 0) -> list[StandingCheck]
 
     The conventional ``disk.free`` property is reduced by ``delta_footprint``
     (floored at zero) before evaluation; other properties are untouched.
-    ``site`` needs ``properties`` and ``standing_constraints`` attributes; a
-    ``Machine`` also brings its parsed trees (``parsed_standing``), and any
-    other site's text is parsed here.
+    ``site`` is a ``Machine``: its ``parsed_standing`` trees are evaluated, so
+    each text is parsed once per machine.
     """
     delta = delta_footprint.count if isinstance(delta_footprint, Size) else int(delta_footprint)
     props = dict(site.properties)
     free = props.get(DISK_FREE)
     if delta and isinstance(free, Size):
         props[DISK_FREE] = Size(max(0, free.count - delta))
-    trees = getattr(site, "parsed_standing", None)
-    if trees is None:
-        trees = [parse_expression(text) for text in site.standing_constraints]
     return [
         StandingCheck(text, evaluate(tree, props))
-        for text, tree in zip(site.standing_constraints, trees)
+        for text, tree in zip(site.standing_constraints, site.parsed_standing)
     ]

@@ -21,6 +21,7 @@ from .values import (
     PropertyValue,
     Size,
     Version,
+    canonical_json,
     kind_of,
     parse_property_map,
     property_map_to_json,
@@ -429,8 +430,19 @@ def deployed_unit_to_json(u: DeployedUnit) -> dict:
     }
 
 
-def site_state_from_json(doc: dict) -> ClientSiteState:
-    units = tuple(deployed_unit_from_json(d) for d in doc.get("units", ()))
+def site_state_from_json(doc: dict, shared: dict[str, DeployedUnit] | None = None) -> ClientSiteState:
+    """Decode a site state. ``shared`` maps the canonical text of each unit
+    document decoded so far to its value, so sites holding equal units share
+    one ``DeployedUnit``; callers keep it for one store open."""
+    shared = {} if shared is None else shared
+    units = []
+    for d in doc.get("units", ()):
+        key = canonical_json(d)
+        unit = shared.get(key)
+        if unit is None:
+            unit = shared[key] = deployed_unit_from_json(d)
+        units.append(unit)
+    units = tuple(units)
     return ClientSiteState(
         machine_id=doc["machine"],
         deployed_units=units,

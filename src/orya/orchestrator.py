@@ -19,7 +19,7 @@ from .errors import (
     UnknownUnitError,
 )
 from .expr import Expression, Status
-from .model import ChangeEvent, DeployedUnit, Machine, MachineKind, resolve_targets
+from .model import ChangeEvent, DeployedUnit, Machine, resolve_targets
 from .process import (
     Activity,
     ActivityKind,
@@ -189,14 +189,14 @@ def _make_fetcher(u: Universe, fleet):
     return fetch
 
 
-def _site_view(site_id, handle) -> Machine:
-    """The live site as a machine value, for constraint checks."""
-    return Machine(
-        site_id,
-        MachineKind.CLIENT_SITE,
-        handle.get_properties(),
-        tuple(handle.get_constraints()),
-    )
+def _site_view(handle) -> Machine:
+    """The live site's machine, for constraint checks. The view is read
+    through the site's role calls, so both stay in the call log; the machine
+    itself is returned, so its parsed standing constraints live as long as
+    it does."""
+    handle.get_properties()
+    handle.get_constraints()
+    return handle.machine
 
 
 def _parse_filters(texts) -> tuple[Expression, ...]:
@@ -287,7 +287,7 @@ def push_deploy(u: Universe, req: DeployRequest, fleet) -> tuple[Universe, Fleet
 
 def _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes):
     handle = fleet.sites[site_id]
-    view = _site_view(site_id, handle)
+    view = _site_view(handle)
     state = handle.get_state()
     # Push deployment is idempotent per unit: units already on the site are
     # not candidates again, and a site holding every candidate is skipped.
@@ -361,7 +361,7 @@ def pull_update(
         entry = SiteOutcome(site_id, "SKIPPED", reason="UP_TO_DATE", unit_id=current.unit_id)
         return u, FleetReport((entry,))
 
-    view = _site_view(site_id, handle)
+    view = _site_view(handle)
     sel = select_package(
         product_id,
         [newer[k] for k in sorted(newer)],
@@ -415,7 +415,7 @@ def on_property_change(
     ``(universe, FleetReport)``.
     """
     handle = fleet.sites[site_id]
-    view = _site_view(site_id, handle)
+    view = _site_view(handle)
     state = handle.get_state()
 
     standing_ok = all(

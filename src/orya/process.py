@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -20,6 +19,7 @@ from typing import Callable, Protocol
 
 from . import expr as expr_mod
 from .errors import IllegalTransitionError, StepFailure
+from .values import canonical_json
 
 # ---------------------------------------------------------------------------
 # Lifecycle
@@ -120,6 +120,11 @@ class ProcessDef:
     id: str
     root: Step
 
+    @cached_property
+    def digest(self) -> str:
+        """``process_digest`` of this process, computed once and kept."""
+        return process_digest(self)
+
 
 _REQUIRED_PARAMS = {
     ActivityKind.TRANSFER: ("resource",),
@@ -169,8 +174,7 @@ def process_to_json(p: ProcessDef) -> dict:
 
 
 def process_digest(p: ProcessDef) -> str:
-    blob = json.dumps(process_to_json(p), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(process_to_json(p)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +188,30 @@ START_STATES = (
 )
 
 
+# Validation costs the number of progress points it visits; a process whose
+# bound is past this is refused at publish and never searched.
+MAX_PROGRESS_POINTS = 10_000
+
+
+def progress_points(step: Step) -> int:
+    """An upper bound on the progress points ``_deepest_illegal`` can visit:
+    2 for an activity, 1 + the sum of (child - 1) for a seq, and the product of
+    the children for a par. One pass; the result is capped at
+    ``MAX_PROGRESS_POINTS + 1``, so a wide tree builds no huge integer."""
+    cap = MAX_PROGRESS_POINTS + 1
+    if isinstance(step, Activity):
+        return 2
+    if isinstance(step, Seq):
+        return min(cap, 1 + sum(progress_points(child) - 1 for child in step.steps))
+    total = 1
+    for branch in step.branches:
+        total = min(cap, total * progress_points(branch))
+    return total
+
+
 @dataclass(frozen=True)
 class ProcessViolation:
-    code: str  # MISSING_PARAM | BAD_EXPR | EMPTY_PROCESS | ILLEGAL_SEQUENCE
+    code: str  # MISSING_PARAM | BAD_EXPR | EMPTY_PROCESS | PROCESS_TOO_LARGE | ILLEGAL_SEQUENCE
     path: str
     detail: str = ""
 
@@ -229,12 +254,19 @@ def validate_process(p: ProcessDef) -> ProcessReport:
     interleaving of its parallel branches legal under the transition table.
     That is decided by reachability over (progress, lifecycle state) pairs,
     each visited at most once per start state, never by listing the
-    interleavings.
+    interleavings. A process with more than ``MAX_PROGRESS_POINTS`` progress
+    points is reported too large and not searched.
     """
     violations: list[ProcessViolation] = []
     acts = list(activities(p.root))
     if not acts:
         violations.append(ProcessViolation("EMPTY_PROCESS", "root", "no activities"))
+    if progress_points(p.root) > MAX_PROGRESS_POINTS:
+        violations.append(
+            ProcessViolation(
+                "PROCESS_TOO_LARGE", "root", f"over {MAX_PROGRESS_POINTS} progress points"
+            )
+        )
 
     for path, act in acts:
         for name in _REQUIRED_PARAMS.get(act.kind, ()):
@@ -394,23 +426,41 @@ class ExecutionTrace:
         }
 
 
-def trace_from_json(doc: dict) -> ExecutionTrace:
-    return ExecutionTrace(
-        deployment_id=doc["deployment"],
-        process_digest=doc["process_digest"],
-        status=TraceStatus(doc["status"]),
-        events=tuple(
-            StepEvent(
-                path=e["path"],
-                kind=e["kind"],
-                outcome=StepOutcome(e["outcome"]),
-                start=e["start"],
-                end=e["end"],
-                detail=e.get("detail", ""),
-            )
-            for e in doc["events"]
-        ),
-    )
+_STATUSES = {s.value: s for s in TraceStatus}
+_OUTCOMES = {o.value: o for o in StepOutcome}
+
+
+def _decode(members: dict, value, enum: type[Enum]):
+    """The member of ``enum`` named by ``value``, looked up in ``members``;
+    anything else raises ValueError, as calling the Enum does."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        raise ValueError(f"{value!r} is not a valid {enum.__name__}") from None
+
+
+def trace_from_json(doc: dict, shared: dict[tuple, StepEvent]) -> ExecutionTrace:
+    """Decode a trace. ``shared`` holds the events decoded so far, so equal
+    events share one ``StepEvent``; callers keep it for one store open. Only an
+    event whose clock ticks are ints and whose other fields are strings is
+    shared, so its key never matches an event that differs by JSON type (a
+    ``start`` of ``true`` is not ``1``)."""
+    deployment_id, digest = doc["deployment"], doc["process_digest"]
+    status = _decode(_STATUSES, doc["status"], TraceStatus)
+    events = []
+    for e in doc["events"]:
+        path, kind = e["path"], e["kind"]
+        outcome = _decode(_OUTCOMES, e["outcome"], StepOutcome)
+        start, end, detail = e["start"], e["end"], e.get("detail", "")
+        if type(start) is int and type(end) is int and type(path) is type(kind) is type(detail) is str:
+            key = (path, kind, outcome, start, end, detail)
+            event = shared.get(key)
+            if event is None:
+                event = shared[key] = StepEvent(path, kind, outcome, start, end, detail)
+        else:
+            event = StepEvent(path, kind, outcome, start, end, detail)
+        events.append(event)
+    return ExecutionTrace(deployment_id, digest, tuple(events), status)
 
 
 @dataclass
@@ -476,7 +526,7 @@ def execute(p: ProcessDef, ctx: ExecutionContext, executor: PrimitiveExecutor) -
         completed.append((path, act, token))
 
     if failure is None:
-        return ExecutionTrace(ctx.deployment_id, process_digest(p), tuple(events), TraceStatus.SUCCESS)
+        return ExecutionTrace(ctx.deployment_id, p.digest, tuple(events), TraceStatus.SUCCESS)
 
     # Pending sibling work cancels at its next step boundary.
     for path, act in steps[pos + 1 :]:
@@ -495,7 +545,7 @@ def execute(p: ProcessDef, ctx: ExecutionContext, executor: PrimitiveExecutor) -
         events.append(StepEvent(path, act.kind.value, StepOutcome.COMPENSATED, tick, clock()))
 
     status = TraceStatus.PARTIALLY_ROLLED_BACK if partially else TraceStatus.ROLLED_BACK
-    return ExecutionTrace(ctx.deployment_id, process_digest(p), tuple(events), status)
+    return ExecutionTrace(ctx.deployment_id, p.digest, tuple(events), status)
 
 
 # ---------------------------------------------------------------------------

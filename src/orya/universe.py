@@ -18,8 +18,11 @@ Cost model: a store call costs what changed, not the whole store.
   not even serialise a document whose frozen value ``is`` the one in ``base``.
 - ``open_universe`` reads every file, but parses a record only when the bytes
   of its file have not been parsed before by a record that is still alive.
-- A record computes its canonical JSON and its process-digest check once;
-  ``universe_digest`` and ``cross_validate`` reuse them.
+- One open builds each distinct process copy, deployed unit and trace event
+  once, matched by canonical JSON text (tables local to the open), and
+  computes each process's digest once: every record is still checked
+  against its trace's digest.
+- A record computes its canonical JSON once; ``universe_digest`` reuses it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 from .errors import (
     DuplicateUnitError,
     ExpressionSyntaxError,
+    ProcessTooLargeError,
     StoreCorruptError,
     StoreLockedError,
     UnknownTargetError,
@@ -52,15 +56,18 @@ from .model import (
     site_state_to_json,
 )
 from .process import (
+    MAX_PROGRESS_POINTS,
     ExecutionTrace,
     ProcessDef,
+    default_process_for,
     default_verify,
-    process_digest,
     process_from_json,
     process_to_json,
+    progress_points,
     trace_from_json,
 )
 from .units import PackagedUnit, unit_from_json, unit_to_json
+from .values import canonical_json
 
 ENV_UNIVERSE = "ORYA_UNIVERSE"
 LOCK_FILE = "universe.lock"
@@ -99,25 +106,34 @@ class DeploymentRecord:
             "finished_at": self.finished_at,
         }
 
-    # The record is frozen, so both results are computed once and kept.
+    # The record is frozen, so its canonical JSON is computed once and kept.
     @cached_property
     def canonical_json(self) -> str:
-        return _canonical(self.to_json())
+        return canonical_json(self.to_json())
 
-    @cached_property
+    @property
     def process_matches_trace(self) -> bool:
-        return process_digest(self.process) == self.trace.process_digest
+        return self.process.digest == self.trace.process_digest
 
 
-def record_from_json(doc: dict) -> DeploymentRecord:
+def record_from_json(doc: dict, processes: dict[str, ProcessDef], events: dict) -> DeploymentRecord:
+    """Decode a record. ``processes`` maps the canonical text of each process
+    copy decoded so far to its ``ProcessDef``, so records holding equal copies
+    share one; ``events`` is the event table of ``trace_from_json``. Callers
+    keep both for one store open."""
+    process_doc = doc["process"]
+    key = canonical_json(process_doc)
+    process = processes.get(key)
+    if process is None:
+        process = processes[key] = process_from_json(process_doc)
     return DeploymentRecord(
         id=doc["id"],
         site_id=doc["site"],
         product_id=doc["product"],
         unit_id=doc["unit"],
-        process=process_from_json(doc["process"]),
+        process=process,
         params=tuple(sorted(doc.get("params", {}).items())),
-        trace=trace_from_json(doc["trace"]),
+        trace=trace_from_json(doc["trace"], events),
         mode=DeployMode(doc["mode"]),
         started_at=doc["started_at"],
         finished_at=doc["finished_at"],
@@ -144,10 +160,6 @@ def empty_universe(root: Path | None = None) -> Universe:
 # Canonical serialization and digests
 
 
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _documents_to_json(u: Universe) -> dict:
     """Everything but the deployment records."""
     return {
@@ -171,17 +183,17 @@ def universe_to_json(u: Universe) -> dict:
 
 
 def universe_digest(u: Universe) -> str:
-    """SHA-256 of ``_canonical(universe_to_json(u))``.
+    """SHA-256 of ``canonical_json(universe_to_json(u))``.
 
     The text is assembled from each record's cached canonical JSON, in the
     key order ``sort_keys`` gives, so no record is re-serialised per call.
     """
-    parts = {key: _canonical(value) for key, value in _documents_to_json(u).items()}
+    parts = {key: canonical_json(value) for key, value in _documents_to_json(u).items()}
     records = ",".join(
-        f"{_canonical(rid)}:{u.deployments[rid].canonical_json}" for rid in sorted(u.deployments)
+        f"{canonical_json(rid)}:{u.deployments[rid].canonical_json}" for rid in sorted(u.deployments)
     )
     parts["deployments"] = "{" + records + "}"
-    text = "{" + ",".join(f"{_canonical(key)}:{parts[key]}" for key in sorted(parts)) + "}"
+    text = "{" + ",".join(f"{canonical_json(key)}:{parts[key]}" for key in sorted(parts)) + "}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -281,12 +293,13 @@ _parsed_records: weakref.WeakValueDictionary[bytes, DeploymentRecord] = (
 )
 
 
-def _load_record(path: Path, document: str) -> DeploymentRecord:
+def _load_record(path: str, document: str, processes: dict, events: dict) -> DeploymentRecord:
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
         record = _parsed_records.get(data)
         if record is None:
-            record = record_from_json(json.loads(data.decode()))
+            record = record_from_json(json.loads(data.decode()), processes, events)
             _parsed_records[data] = record
     except (OSError, ValueError, KeyError) as err:
         raise StoreCorruptError(document, str(err)) from None
@@ -299,8 +312,9 @@ def open_universe(path: str | Path) -> Universe:
     Every file is read on each call. The enterprise, catalog and site states
     are parsed each time; a deployment record is parsed only when no live
     record was parsed from the same file bytes, so a changed record file is
-    always parsed and checked again. ``cross_validate`` runs in full, with
-    each record's process-digest check computed once per record.
+    always parsed and checked again. Equal deployed units, process copies and
+    trace events decoded in this call share one value. ``cross_validate``
+    runs in full, and a process shared by many records is hashed once.
     """
     root = Path(path)
     if not root.is_dir():
@@ -328,6 +342,12 @@ def open_universe(path: str | Path) -> Universe:
                     raise StoreCorruptError(doc_name, str(err)) from None
             catalog[server_dir.name] = tuple(units)
 
+    # Tables local to this open: each distinct deployed unit, process copy and
+    # trace event is built once and shared by every document that holds it.
+    units: dict = {}
+    processes: dict = {}
+    events: dict = {}
+
     site_states: dict[str, ClientSiteState] = {}
     sites_dir = root / "sites"
     if sites_dir.is_dir():
@@ -337,17 +357,21 @@ def open_universe(path: str | Path) -> Universe:
                 continue
             doc_name = f"sites/{site_dir.name}/state.json"
             try:
-                site_states[site_dir.name] = site_state_from_json(_read_json(state_path, doc_name))
+                site_states[site_dir.name] = site_state_from_json(
+                    _read_json(state_path, doc_name), units
+                )
             except (ValueError, KeyError) as err:
                 raise StoreCorruptError(doc_name, str(err)) from None
 
     deployments: dict[str, DeploymentRecord] = {}
-    dep_dir = root / "deployments"
-    if dep_dir.is_dir():
+    dep_dir = os.path.join(root, "deployments")
+    if os.path.isdir(dep_dir):
         for name in sorted(n for n in os.listdir(dep_dir) if n.endswith(".json")):
             # Keyed by file name, so a record copied over another fails
             # cross_validate's id check instead of silently replacing it.
-            deployments[name[: -len(".json")]] = _load_record(dep_dir / name, f"deployments/{name}")
+            deployments[name[: -len(".json")]] = _load_record(
+                os.path.join(dep_dir, name), f"deployments/{name}", processes, events
+            )
 
     u = Universe(enterprise, catalog, site_states, deployments, root)
     cross_validate(u)
@@ -444,7 +468,10 @@ def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
     A unit with no process deploys by the default template, whose verify joins
     all its constraints by "and". When that expression would nest deeper than
     ``expr.MAX_NESTING`` the unit is refused here (SYNTAX), not at every
-    deploy; a store that already holds such a unit still opens.
+    deploy; a store that already holds such a unit still opens. A unit whose
+    process (given or default) has more than ``MAX_PROGRESS_POINTS`` progress
+    points is refused (PROCESS_TOO_LARGE); one already stored fails validation
+    at deploy without a search.
     """
     machines = {m.id: m for m in u.enterprise.machines}
     m = machines.get(server_id)
@@ -460,6 +487,10 @@ def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
             raise ExpressionSyntaxError(
                 f"default verify of unit {unit.id!r}: nesting too deep", err.offset, err.expected
             ) from None
+    if progress_points((unit.process or default_process_for(unit)).root) > MAX_PROGRESS_POINTS:
+        raise ProcessTooLargeError(
+            f"process of unit {unit.id!r} has over {MAX_PROGRESS_POINTS} progress points"
+        )
     catalog = dict(u.catalog)
     catalog[server_id] = tuple(sorted(units + (unit,), key=lambda x: x.id))
     return replace(u, catalog=catalog)

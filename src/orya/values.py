@@ -9,6 +9,7 @@ type mismatches by the evaluator.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -182,3 +183,10 @@ def parse_property_map(obj, where: str = "properties") -> dict[str, PropertyValu
 
 def property_map_to_json(props: dict[str, PropertyValue]) -> dict:
     return {name: value_to_json(props[name]) for name in sorted(props)}
+
+
+def canonical_json(doc) -> str:
+    """Compact JSON text with sorted keys. Decoded documents get the same text
+    only when they are the same JSON value: ``1``, ``1.0`` and ``true`` stay
+    apart, though Python counts them equal."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass, field
 
 from conftest import random_expression, random_properties
 from orya.expr import (
@@ -14,6 +13,7 @@ from orya.expr import (
     parse_expression,
     print_expression,
 )
+from orya.model import Machine, MachineKind
 from orya.values import Size, Version, kind_of
 
 # ---------------------------------------------------------------------------
@@ -155,31 +155,29 @@ class TestEvaluator:
         assert out.status is Status.SATISFIED
 
 
-@dataclass
-class _Site:
-    properties: dict = field(default_factory=dict)
-    standing_constraints: tuple = ()
+def _site(properties, standing_constraints):
+    return Machine("site", MachineKind.CLIENT_SITE, properties, standing_constraints)
 
 
 class TestStandingConstraints:
     def test_disk_free_reduced_by_delta(self):
-        site = _Site({"disk.free": Size.parse("2GB")}, ("disk.free >= 1GB",))
+        site = _site({"disk.free": Size.parse("2GB")}, ("disk.free >= 1GB",))
         ok = check_standing(site, Size.parse("500MB"))
         assert ok[0].outcome.status is Status.SATISFIED
         bad = check_standing(site, Size.parse("1500MB"))
         assert bad[0].outcome.status is Status.VIOLATED
 
     def test_floor_at_zero(self):
-        site = _Site({"disk.free": Size.parse("1GB")}, ("disk.free >= 0B",))
+        site = _site({"disk.free": Size.parse("1GB")}, ("disk.free >= 0B",))
         out = check_standing(site, Size.parse("5GB"))
         assert out[0].outcome.status is Status.SATISFIED  # floored, not negative
 
     def test_negative_delta_credits_space(self):
-        site = _Site({"disk.free": Size.parse("1GB")}, ("disk.free >= 2GB",))
+        site = _site({"disk.free": Size.parse("1GB")}, ("disk.free >= 2GB",))
         out = check_standing(site, -(10**9) - (10**9))
         assert out[0].outcome.status is Status.SATISFIED
 
     def test_missing_disk_property_untouched(self):
-        site = _Site({"os": "linux"}, ("os = \"linux\"",))
+        site = _site({"os": "linux"}, ("os = \"linux\"",))
         out = check_standing(site, Size.parse("1GB"))
         assert out[0].outcome.status is Status.SATISFIED

@@ -190,6 +190,20 @@ class TestUnitWorkOncePerPush:
         deploy(u, fleet, sites=("w0",))
         assert 'os = "linux"' not in parsed
 
+    def test_standing_trees_live_with_the_site_machine(self, monkeypatch):
+        u, n_sites = mixed_fleet()
+        fleet = build_fleet(u)
+        sites = tuple(sorted(fleet.sites))
+        deploy(u, fleet, sites=sites, dry_run=True)
+        parsed = counting(monkeypatch, expr_mod, "parse_expression")
+        del fleet.call_log[:]
+        _, report = deploy(u, fleet, sites=sites, dry_run=True)
+        assert report.summary == {"WOULD_DEPLOY": n_sites}
+        assert STANDING not in parsed
+        # The view is still read through the sites' role calls.
+        for method in ("get_properties", "get_constraints"):
+            assert sorted(e.actor for e in fleet.call_log if e.method == method) == list(sites)
+
     def test_invalid_process_fails_every_site_that_chooses_it(self, monkeypatch):
         bad = ProcessDef(
             "ed-1.0.bad",

@@ -2,12 +2,14 @@ import itertools
 import random
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orya.errors import IllegalTransitionError, StepFailure
 from orya.expr import conjunction, parse_expression, print_expression
 from orya.process import (
+    MAX_PROGRESS_POINTS,
     Activity,
     ActivityKind,
     ExecutionContext,
@@ -23,6 +25,7 @@ from orya.process import (
     process_digest,
     process_from_json,
     process_to_json,
+    progress_points,
     transition,
     validate_process,
 )
@@ -335,6 +338,61 @@ class TestValidation:
         validate_process(p)
         assert verify.expression == parse('os = "linux"')
         assert texts == ['os = "linux"']
+
+
+def searched_points(tree):
+    """The distinct progress points validation expands for ``tree``."""
+    with pytest.MonkeyPatch.context() as mp:
+        expanded = count_expanded(mp)
+        validate_process(proc(tree))
+    return set(expanded)
+
+
+def verifies(n):
+    return Seq(tuple(act("verify") for _ in range(n)))
+
+
+class TestSizeCap:
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    def test_bound_covers_every_progress_point_searched(self, tree):
+        # The finished point (None) is reached but never expanded.
+        assert len(searched_points(tree)) + 1 <= progress_points(tree)
+
+    def test_bound_is_exact_when_every_interleaving_runs(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            tree = random_tree(rng, rng.randrange(1, 9))  # neutral kinds only
+            assert len(searched_points(tree)) + 1 == progress_points(tree)
+
+    def test_bound_by_shape(self):
+        assert progress_points(act("verify")) == 2
+        assert progress_points(verifies(5)) == 6
+        assert progress_points(Par((verifies(2), verifies(3)))) == 3 * 4
+        assert progress_points(Seq((verifies(2), Par((act("copy"), act("copy")))))) == 1 + 2 + 3
+        assert progress_points(Seq(())) == progress_points(Par(())) == 1
+
+    def test_bound_saturates_past_the_cap(self):
+        wide = Par(tuple(verifies(2) for _ in range(500)))  # 3^500 points
+        assert progress_points(wide) == MAX_PROGRESS_POINTS + 1
+        assert progress_points(Seq((wide, wide))) == MAX_PROGRESS_POINTS + 1
+
+    def test_at_the_cap_is_searched(self, monkeypatch):
+        tree = Par(tuple(verifies(9) for _ in range(4)))
+        assert progress_points(tree) == MAX_PROGRESS_POINTS == 10**4
+        expanded = count_expanded(monkeypatch)
+        report = validate_process(proc(tree))
+        assert report.ok and expanded
+
+    def test_one_over_the_cap_is_refused_without_a_search(self, monkeypatch):
+        over = Seq((Par(tuple(verifies(9) for _ in range(4))), act("verify")))
+        wide = Par(tuple(verifies(6) for _ in range(6)))  # 3.1 s to search before the cap
+        assert progress_points(over) == MAX_PROGRESS_POINTS + 1
+        expanded = count_expanded(monkeypatch)
+        for tree in (over, wide):
+            (violation,) = validate_process(proc(tree)).violations
+            assert (violation.code, violation.path) == ("PROCESS_TOO_LARGE", "root")
+        assert expanded == []
 
 
 class TestDefaultTemplate:

@@ -1,20 +1,17 @@
 import random
-from dataclasses import dataclass, field
 
 import pytest
 
 from conftest import make_unit
 from orya.expr import Status, evaluate, parse_expression
-from orya.model import ClientSiteState, DeployedUnit
+from orya.model import ClientSiteState, DeployedUnit, Machine, MachineKind
 from orya.safety import SafetyPolicy, blocking_conflicts, check_safety
 from orya.selection import select_package
 from orya.values import Size, Version
 
 
-@dataclass
-class Site:
-    properties: dict = field(default_factory=dict)
-    standing_constraints: tuple = ()
+def make_site(properties=None, standing_constraints=()):
+    return Machine("s", MachineKind.CLIENT_SITE, properties or {}, standing_constraints)
 
 
 def empty_state():
@@ -66,7 +63,7 @@ def random_instance(rng: random.Random):
     for name in ("ram", "tier"):
         if rng.random() < 0.7:
             props[name] = rng.randrange(0, 32) if name == "ram" else rng.choice(["a", "b"])
-    site = Site(
+    site = make_site(
         properties=props,
         standing_constraints=tuple(
             rng.sample(
@@ -142,20 +139,20 @@ class TestSelectionOracle:
 class TestRanking:
     def test_highest_version_wins(self):
         units = [make_unit("a", version="1.0"), make_unit("b", version="2.0")]
-        assert select_package("prod", units, Site(), empty_state()).chosen == "b"
+        assert select_package("prod", units, make_site(), empty_state()).chosen == "b"
 
     def test_footprint_breaks_version_tie(self):
         units = [make_unit("a", version="1.0", footprint=100), make_unit("b", version="1.0", footprint=50)]
-        assert select_package("prod", units, Site(), empty_state()).chosen == "b"
+        assert select_package("prod", units, make_site(), empty_state()).chosen == "b"
 
     def test_id_breaks_full_tie(self):
         units = [make_unit("bbb"), make_unit("aaa")]
-        assert select_package("prod", units, Site(), empty_state()).chosen == "aaa"
+        assert select_package("prod", units, make_site(), empty_state()).chosen == "aaa"
 
 
 class TestReasons:
     def test_unknown_distinct_from_violated(self):
-        site = Site(properties={"os": "linux"})
+        site = make_site(properties={"os": "linux"})
         units = [
             make_unit("violated", constraints=['os = "win"']),
             make_unit("unknown", constraints=["ram >= 8"]),
@@ -167,7 +164,7 @@ class TestReasons:
         assert report.chosen is None
 
     def test_standing_violated(self):
-        site = Site(
+        site = make_site(
             properties={"disk.free": Size.parse("1GB")},
             standing_constraints=("disk.free >= 1GB",),
         )
@@ -183,7 +180,7 @@ class TestReasons:
             ),
         )
         unit = make_unit("new", provides=[("comp", "2.0")])
-        report = select_package("prod", [unit], Site(), state)
+        report = select_package("prod", [unit], make_site(), state)
         assert report.candidates[0].reasons == ("SAFETY_CONFLICT",)
 
     def test_filters_rule_out_first(self):
@@ -192,7 +189,7 @@ class TestReasons:
             make_unit("beta", properties={"channel": "beta"}),
         ]
         report = select_package(
-            "prod", units, Site(), empty_state(),
+            "prod", units, make_site(), empty_state(),
             extra_filters=(parse_expression('channel = "stable"'),),
         )
         assert report.chosen == "stable"
@@ -209,9 +206,9 @@ class TestReplacing:
         )
         state = ClientSiteState(machine_id="s", deployed_units=(old,))
         new = make_unit("new", version="2.0", provides=[("comp", "2.0")])
-        blocked = select_package("prod", [new], Site(), state)
+        blocked = select_package("prod", [new], make_site(), state)
         assert blocked.chosen is None
-        allowed = select_package("prod", [new], Site(), state, replacing=old)
+        allowed = select_package("prod", [new], make_site(), state, replacing=old)
         assert allowed.chosen == "new"
 
     def test_replacing_credits_footprint(self):
@@ -219,7 +216,7 @@ class TestReplacing:
             "old", "prod", Version.parse("1.0"), "ACTIVE", footprint=Size.parse("2GB")
         )
         state = ClientSiteState(machine_id="s", deployed_units=(old,))
-        site = Site(
+        site = make_site(
             properties={"disk.free": Size.parse("1GB")},
             standing_constraints=("disk.free >= 500MB",),
         )
@@ -230,4 +227,4 @@ class TestReplacing:
 
 def test_product_mismatch_raises():
     with pytest.raises(ValueError):
-        select_package("prod", [make_unit("u", product="other")], Site(), empty_state())
+        select_package("prod", [make_unit("u", product="other")], make_site(), empty_state())

@@ -8,6 +8,7 @@ import pytest
 from conftest import make_enterprise, make_unit
 from orya import service as svc
 from orya import universe as universe_mod
+from orya.process import MAX_PROGRESS_POINTS, Activity, ActivityKind, ProcessDef, Seq
 from orya.units import unit_to_json
 from orya.universe import empty_universe, open_universe, save_universe, universe_digest
 from test_universe import count_writes, stat_snapshot
@@ -314,6 +315,62 @@ class TestDeepDefaultVerify:
             "site1": ("FAILED", "INVALID_PROCESS"),
             "site2": ("SKIPPED", "NO_ADMISSIBLE"),
         }
+
+
+def sized_manifest(points, default):
+    """An editor unit whose process has exactly ``points`` progress points:
+    the default template (transfers, install, verify, activate) or a given
+    seq of install, verifies and activate."""
+    if default:
+        resources = [(f"r{i}", 1, "d") for i in range(points - 4)]
+        unit = make_unit("editor-4.0", product="editor", version="4.0", resources=resources)
+    else:
+        steps = (
+            (Activity.make(ActivityKind.INSTALL),)
+            + tuple(Activity.make(ActivityKind.VERIFY) for _ in range(points - 3))
+            + (Activity.make(ActivityKind.ACTIVATE),)
+        )
+        process = ProcessDef("editor-4.0.install", Seq(steps))
+        unit = make_unit("editor-4.0", product="editor", version="4.0", process=process)
+    return unit_to_json(unit)
+
+
+@pytest.mark.parametrize("default", [False, True], ids=["given", "default"])
+class TestProcessSizeCap:
+    def test_at_the_cap_publishes(self, store, default):
+        engine = svc.LocalEngine(store)
+        resp = engine.handle(
+            {"op": "publish", "server": "srv1", "manifest": sized_manifest(MAX_PROGRESS_POINTS, default)}
+        )
+        assert resp == {"ok": True, "published": "editor-4.0", "server": "srv1"}
+
+    def test_one_over_the_cap_is_refused_and_writes_nothing(self, store, default):
+        engine = svc.LocalEngine(store)
+        before = stat_snapshot(store)
+        manifest = sized_manifest(MAX_PROGRESS_POINTS + 1, default)
+        resp = engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})
+        assert resp["error"]["code"] == "PROCESS_TOO_LARGE"
+        assert "editor-4.0" in resp["error"]["message"]
+        assert stat_snapshot(store) == before
+        assert not engine.universe.catalog.get("srv1")
+
+    def test_a_stored_unit_over_the_cap_is_an_invalid_process_without_a_search(
+        self, store, default, monkeypatch
+    ):
+        from orya import process as process_mod
+        from orya.units import unit_from_json
+
+        u = open_universe(store)
+        unit = unit_from_json(sized_manifest(MAX_PROGRESS_POINTS + 1, default))
+        save_universe(replace(u, catalog={"srv1": (unit,)}))
+
+        def no_search(*args):
+            raise AssertionError("searched a process over the cap")
+
+        monkeypatch.setattr(process_mod, "_deepest_illegal", no_search)
+        resp = svc.LocalEngine(store).handle({"op": "deploy", "product": "editor", "group": "all"})
+        entries = {e["site"]: (e["outcome"], e.get("reason")) for e in resp["report"]["entries"]}
+        assert entries == {"site1": ("FAILED", "INVALID_PROCESS"), "site2": ("FAILED", "INVALID_PROCESS")}
 
 
 BAD_LINES = {

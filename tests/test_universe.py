@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import os
 import random
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -478,3 +480,122 @@ class TestSaveOverBase:
             save_universe(stale, base=u)
         assert stat_snapshot(root) == before  # refused before any document is written
         assert not (root / LOCK_FILE).exists()
+
+
+def record_running(rid, process, claimed=None, unit="u-1"):
+    """A record of ``process`` whose trace claims the digest of ``claimed``
+    (``process`` itself by default)."""
+    record = make_record(rid, unit=unit)
+    trace = replace(record.trace, process_digest=process_digest(claimed or process))
+    return replace(record, process=process, trace=trace)
+
+
+def verify_at(level):
+    return ProcessDef(id="p", root=Seq((Activity.make(ActivityKind.VERIFY, level=level),)))
+
+
+class TestSharedValuesAtOpen:
+    """An open builds each distinct process copy, deployed unit and trace event
+    once. Values are matched by JSON text, never by Python equality."""
+
+    @pytest.mark.parametrize("other", [1.0, True], ids=["float", "bool"])
+    def test_copies_equal_only_in_python_stay_distinct(self, tmp_path, other):
+        root = tmp_path / "u"
+        unit = f"u-{type(other).__name__}"  # bytes no other test's live record has
+        u = record_deployment(base_universe(root), record_running("d000000", verify_at(1), unit=unit))
+        save_universe(record_deployment(u, record_running("d000001", verify_at(other), unit=unit)))
+        assert verify_at(1) == verify_at(other)  # what a dict key would match
+        first, second = (r.process for r in open_universe(root).deployments.values())
+        assert first is not second
+        assert type(second.root.steps[0].param("level")) is type(other)
+
+        (root / "deployments" / "d000001.json").unlink()
+        tampered = record_running("d000001", verify_at(other), claimed=verify_at(1), unit=unit)
+        save_universe(record_deployment(u, tampered))
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == "deployments/d000001"
+        assert "process copy" in exc.value.reason
+
+    def test_tampered_copy_in_the_500th_record_fails_open(self, tmp_path):
+        root = tmp_path / "u"
+        u = base_universe(root)
+        for n in range(500):
+            u = record_deployment(u, make_record(f"d{n:06d}", unit="u-500"))
+        save_universe(u)
+        path = root / "deployments" / "d000499.json"
+        doc = json.loads(path.read_text())
+        assert doc["trace"]["process_digest"] == u.deployments["d000000"].trace.process_digest
+        doc["process"]["root"]["seq"][0]["act"] = "verify"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == "deployments/d000499"
+        assert "process copy" in exc.value.reason
+
+    def test_equal_values_are_built_once(self, tmp_path, monkeypatch):
+        from orya import process as process_mod
+
+        root = tmp_path / "u"
+        ent = make_enterprise({"site1": ({}, ()), "site2": ({}, ())})
+        u = replace(empty_universe(root), enterprise=ent)
+        unit = DeployedUnit("u-1", "prod", Version.parse("1.0"), "ACTIVE", constraints=("exists(os)",))
+        for site in ("site1", "site2"):
+            u = set_site_state(u, ClientSiteState(site, (unit,), ("prod",)))
+        for n in range(4):
+            u = record_deployment(u, make_record(f"d{n:06d}", site=f"site{n % 2 + 1}", unit="u-shared"))
+        save_universe(u)
+
+        digests = []
+        digest = process_mod.process_digest
+        monkeypatch.setattr(process_mod, "process_digest", lambda p: digests.append(p) or digest(p))
+        loaded = open_universe(root)
+        first, second = (state.deployed_units[0] for state in loaded.site_states.values())
+        assert first is second
+        records = list(loaded.deployments.values())
+        assert all(r.process is records[0].process for r in records)
+        assert all(r.trace.events[0] is records[0].trace.events[0] for r in records)
+        assert len(digests) == 1  # every record is checked against the one digest
+        assert loaded == u
+
+    @pytest.mark.parametrize("typed", ["d000000", "d000001"])
+    def test_events_that_differ_only_by_json_type_stay_distinct(self, tmp_path, typed):
+        root = tmp_path / "u"
+        u = base_universe(root)
+        for rid in ("d000000", "d000001"):
+            u = record_deployment(u, make_record(rid, unit="u-typed"))
+        save_universe(u)
+        path = root / "deployments" / f"{typed}.json"
+        doc = json.loads(path.read_text())
+        assert doc["trace"]["events"][0]["start"] == 1
+        doc["trace"]["events"][0]["start"] = True
+        path.write_text(json.dumps(doc))
+
+        loaded = open_universe(root)
+        events = {rid: r.trace.events[0] for rid, r in loaded.deployments.items()}
+        assert events["d000000"] is not events["d000001"]
+        assert [type(e.start) for e in events.values()] == [
+            bool if rid == typed else int for rid in events
+        ]
+        assert loaded.deployments[typed].to_json()["trace"]["events"][0]["start"] is True
+        assert universe_digest(loaded) == oracle_digest(loaded)
+
+    def test_opening_twice_gives_equal_universes(self, tmp_path):
+        root = tmp_path / "u"
+        u = populated_universe(root)
+        for n in range(1, 4):
+            u = record_deployment(u, make_record(f"d{n:06d}", unit="u-twice"))
+        save_universe(u)
+        first = open_universe(root)
+        second = open_universe(root)  # its records come from the memo
+        assert first == second == u
+        assert universe_digest(first) == universe_digest(second) == universe_digest(u)
+        del first, second
+        gc.collect()
+        third = open_universe(root)  # parsed afresh, with new tables
+        assert third == u
+        assert universe_digest(third) == universe_digest(u)
+        process = weakref.ref(third.deployments["d000001"].process)
+        del third
+        gc.collect()
+        assert process() is None  # no table outlives the open
