@@ -68,8 +68,6 @@ class Or:
 
 Expression = Union[Exists, Compare, Not, And, Or]
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 

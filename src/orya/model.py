@@ -22,9 +22,12 @@ from .values import (
     Size,
     Version,
     canonical_json,
+    expect,
+    expect_items,
     kind_of,
     parse_property_map,
     property_map_to_json,
+    size_from_json,
     valid_name,
 )
 
@@ -73,6 +76,10 @@ class EnterpriseModel:
     users: tuple[User, ...] = ()
     roles: tuple[str, ...] = ()
 
+    @cached_property
+    def canonical_json(self) -> str:
+        return canonical_json(enterprise_to_json(self))
+
 
 @dataclass(frozen=True)
 class DeployedUnit:
@@ -108,6 +115,10 @@ class ClientSiteState:
     machine_id: str
     deployed_units: tuple[DeployedUnit, ...] = ()
     products: tuple[str, ...] = ()
+
+    @cached_property
+    def canonical_json(self) -> str:
+        return canonical_json(site_state_to_json(self))
 
 
 def derive_products(units) -> tuple[str, ...]:
@@ -329,45 +340,44 @@ _TOP_LEVEL_KEYS = {"id", "groups", "machines", "users", "roles"}
 
 def enterprise_from_json(doc: dict) -> EnterpriseModel:
     """Decode the enterprise model document; rejects unknown top-level keys."""
-    if not isinstance(doc, dict):
-        raise ValueError("enterprise document must be an object")
+    expect(doc, dict, "enterprise document")
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ValueError(f"unknown top-level keys: {sorted(unknown)}")
     groups = tuple(
         Group(
-            id=g["id"],
-            parent=g.get("parent"),
-            members=tuple(g.get("members", ())),
-            subgroups=tuple(g.get("subgroups", ())),
+            id=expect(g["id"], str, "group id"),
+            parent=None if g.get("parent") is None else expect(g["parent"], str, "group parent"),
+            members=tuple(expect_items(g.get("members", []), str, "group members")),
+            subgroups=tuple(expect_items(g.get("subgroups", []), str, "subgroups")),
             description=g.get("description", ""),
         )
-        for g in doc.get("groups", ())
+        for g in expect_items(doc.get("groups", []), dict, "groups")
     )
     machines = tuple(
         Machine(
-            id=m["id"],
+            id=expect(m["id"], str, "machine id"),
             kind=MachineKind(m["kind"]),
             properties=parse_property_map(m.get("properties", {}), f"machine {m['id']}"),
-            standing_constraints=tuple(m.get("constraints", ())),
-            group_ids=tuple(m.get("groups", ())),
+            standing_constraints=tuple(expect_items(m.get("constraints", []), str, "constraints")),
+            group_ids=tuple(expect_items(m.get("groups", []), str, "machine groups")),
         )
-        for m in doc.get("machines", ())
+        for m in expect_items(doc.get("machines", []), dict, "machines")
     )
     users = tuple(
         User(
-            id=u["id"],
-            roles=tuple(u.get("roles", ())),
-            machine_ids=tuple(u.get("machines", ())),
+            id=expect(u["id"], str, "user id"),
+            roles=tuple(expect_items(u.get("roles", []), str, "user roles")),
+            machine_ids=tuple(expect_items(u.get("machines", []), str, "user machines")),
         )
-        for u in doc.get("users", ())
+        for u in expect_items(doc.get("users", []), dict, "users")
     )
     return EnterpriseModel(
         id=doc.get("id", "enterprise"),
         groups=groups,
         machines=machines,
         users=users,
-        roles=tuple(doc.get("roles", ())),
+        roles=tuple(expect_items(doc.get("roles", []), str, "roles")),
     )
 
 
@@ -404,15 +414,21 @@ def enterprise_to_json(model: EnterpriseModel) -> dict:
 
 def deployed_unit_from_json(d: dict) -> DeployedUnit:
     return DeployedUnit(
-        unit_id=d["unit"],
-        product_id=d["product"],
+        unit_id=expect(d["unit"], str, "unit id"),
+        product_id=expect(d["product"], str, "unit product"),
         version=Version.parse(d["version"]),
         state=d["state"],
-        footprint=Size.parse(d["footprint"]) if isinstance(d["footprint"], str) else Size(d["footprint"]),
-        provides=tuple((p["name"], Version.parse(p["version"])) for p in d.get("provides", ())),
-        requires=tuple((r["name"], Version.parse(r["min"])) for r in d.get("requires", ())),
-        constraints=tuple(d.get("constraints", ())),
-        config=tuple((k, v) for k, v in sorted(d.get("config", {}).items())),
+        footprint=size_from_json(d["footprint"]),
+        provides=tuple(
+            (expect(p["name"], str, "provided name"), Version.parse(p["version"]))
+            for p in expect_items(d.get("provides", []), dict, "provides")
+        ),
+        requires=tuple(
+            (expect(r["name"], str, "required name"), Version.parse(r["min"]))
+            for r in expect_items(d.get("requires", []), dict, "requires")
+        ),
+        constraints=tuple(expect_items(d.get("constraints", []), str, "unit constraints")),
+        config=tuple(sorted(expect(d.get("config", {}), dict, "unit config").items())),
     )
 
 
@@ -436,7 +452,7 @@ def site_state_from_json(doc: dict, shared: dict[str, DeployedUnit] | None = Non
     one ``DeployedUnit``; callers keep it for one store open."""
     shared = {} if shared is None else shared
     units = []
-    for d in doc.get("units", ()):
+    for d in expect_items(doc.get("units", []), dict, "units"):
         key = canonical_json(d)
         unit = shared.get(key)
         if unit is None:
@@ -446,7 +462,11 @@ def site_state_from_json(doc: dict, shared: dict[str, DeployedUnit] | None = Non
     return ClientSiteState(
         machine_id=doc["machine"],
         deployed_units=units,
-        products=tuple(doc.get("products", derive_products(units))),
+        products=(
+            tuple(expect_items(doc["products"], str, "products"))
+            if "products" in doc
+            else derive_products(units)
+        ),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Protocol
 
 from . import expr as expr_mod
 from .errors import IllegalTransitionError, StepFailure
-from .values import canonical_json
+from .values import canonical_json, expect, expect_items
 
 # ---------------------------------------------------------------------------
 # Lifecycle
@@ -143,9 +143,9 @@ def step_from_json(node) -> Step:
     if not isinstance(node, dict):
         raise ValueError(f"process node must be an object: {node!r}")
     if "seq" in node:
-        return Seq(tuple(step_from_json(c) for c in node["seq"]))
+        return Seq(tuple(step_from_json(c) for c in expect(node["seq"], list, "seq")))
     if "par" in node:
-        return Par(tuple(step_from_json(c) for c in node["par"]))
+        return Par(tuple(step_from_json(c) for c in expect(node["par"], list, "par")))
     if "act" in node:
         kind = ActivityKind(node["act"])
         params = {k: v for k, v in node.items() if k != "act"}
@@ -445,10 +445,11 @@ def trace_from_json(doc: dict, shared: dict[tuple, StepEvent]) -> ExecutionTrace
     event whose clock ticks are ints and whose other fields are strings is
     shared, so its key never matches an event that differs by JSON type (a
     ``start`` of ``true`` is not ``1``)."""
+    expect(doc, dict, "trace")
     deployment_id, digest = doc["deployment"], doc["process_digest"]
     status = _decode(_STATUSES, doc["status"], TraceStatus)
     events = []
-    for e in doc["events"]:
+    for e in expect_items(doc["events"], dict, "trace events"):
         path, kind = e["path"], e["kind"]
         outcome = _decode(_OUTCOMES, e["outcome"], StepOutcome)
         start, end, detail = e["start"], e["end"], e.get("detail", "")

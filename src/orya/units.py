@@ -11,6 +11,9 @@ from .values import (
     PropertyValue,
     Size,
     Version,
+    canonical_json,
+    expect,
+    expect_items,
     parse_property_map,
     property_map_to_json,
     size_from_json,
@@ -48,6 +51,10 @@ class PackagedUnit:
         """The constraint trees, parsed on first use and kept with the unit."""
         return tuple(expr_mod.parse_expression(c) for c in self.constraints)
 
+    @cached_property
+    def canonical_json(self) -> str:
+        return canonical_json(unit_to_json(self))
+
 
 _MANIFEST_KEYS = {
     "id",
@@ -65,20 +72,20 @@ _MANIFEST_KEYS = {
 
 def unit_from_json(doc: dict) -> PackagedUnit:
     """Decode a unit manifest document."""
-    if not isinstance(doc, dict):
-        raise ValueError("unit manifest must be an object")
+    expect(doc, dict, "unit manifest")
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
     for key in ("id", "product", "version"):
         if key not in doc:
             raise ValueError(f"unit manifest missing {key!r}")
-    unit_id = doc["id"]
-    constraints = tuple(doc.get("constraints", ()))
+    unit_id = expect(doc["id"], str, "unit id")
+    constraints = tuple(expect_items(doc.get("constraints", []), str, "constraints"))
     for text in constraints:
         expr_mod.parse_expression(text)  # reject bad constraints at load time
     provides = tuple(
-        (p["name"], Version.parse(p["version"])) for p in doc.get("provides", ())
+        (expect(p["name"], str, "provided name"), Version.parse(p["version"]))
+        for p in expect_items(doc.get("provides", []), dict, "provides")
     )
     names = [n for n, _ in provides]
     if len(names) != len(set(names)):
@@ -88,18 +95,23 @@ def unit_from_json(doc: dict) -> PackagedUnit:
         process = process_from_json(doc["process"], default_id=f"{unit_id}.install")
     return PackagedUnit(
         id=unit_id,
-        product_id=doc["product"],
+        product_id=expect(doc["product"], str, "unit product"),
         product_version=Version.parse(doc["version"]),
         descriptive_properties=parse_property_map(doc.get("properties", {}), f"unit {unit_id}"),
         constraints=constraints,
         footprint=size_from_json(doc.get("footprint", 0)),
         resources=tuple(
-            Resource(r["name"], size_from_json(r.get("size", 0)), r.get("digest", ""))
-            for r in doc.get("resources", ())
+            Resource(
+                expect(r["name"], str, "resource name"),
+                size_from_json(r.get("size", 0)),
+                r.get("digest", ""),
+            )
+            for r in expect_items(doc.get("resources", []), dict, "resources")
         ),
         provides=provides,
         requires=tuple(
-            (r["name"], Version.parse(r["min"])) for r in doc.get("requires", ())
+            (expect(r["name"], str, "required name"), Version.parse(r["min"]))
+            for r in expect_items(doc.get("requires", []), dict, "requires")
         ),
         process=process,
     )

@@ -1,6 +1,7 @@
 """The common universe: persistent store of all shared deployment data.
 
-On disk the universe is a directory of JSON documents::
+On disk the universe is a directory of JSON documents, each file its
+document's canonical JSON (compact, sorted keys) and a newline::
 
     enterprise.json
     catalog/<server>/<unit>.json
@@ -9,20 +10,23 @@ On disk the universe is a directory of JSON documents::
     universe.lock            (present only while a writer holds the store)
 
 Deployment records are append-only; they embed a full copy of the executed
-process so pull updates and reconfiguration survive catalog removal.
+process so pull updates and reconfiguration survive catalog removal. Files
+pretty-printed by older versions open as they are.
 
 Cost model: a store call costs what changed, not the whole store.
 
+- Each frozen document value (enterprise, packaged unit, site state, record)
+  computes its canonical JSON once. ``save_universe`` writes that text and
+  ``universe_digest`` joins the same texts, so neither re-serialises a value.
 - ``save_universe`` writes a document only when its bytes differ from the
   file on disk, and never rewrites an existing record. Given ``base``, it does
-  not even serialise a document whose frozen value ``is`` the one in ``base``.
+  not even read a document whose frozen value ``is`` the one in ``base``.
 - ``open_universe`` reads every file, but parses a record only when the bytes
   of its file have not been parsed before by a record that is still alive.
 - One open builds each distinct process copy, deployed unit and trace event
   once, matched by canonical JSON text (tables local to the open), and
   computes each process's digest once: every record is still checked
   against its trace's digest.
-- A record computes its canonical JSON once; ``universe_digest`` reuses it.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .process import (
     trace_from_json,
 )
 from .units import PackagedUnit, unit_from_json, unit_to_json
-from .values import canonical_json
+from .values import canonical_json, expect
 
 ENV_UNIVERSE = "ORYA_UNIVERSE"
 LOCK_FILE = "universe.lock"
@@ -106,7 +110,6 @@ class DeploymentRecord:
             "finished_at": self.finished_at,
         }
 
-    # The record is frozen, so its canonical JSON is computed once and kept.
     @cached_property
     def canonical_json(self) -> str:
         return canonical_json(self.to_json())
@@ -128,11 +131,11 @@ def record_from_json(doc: dict, processes: dict[str, ProcessDef], events: dict) 
         process = processes[key] = process_from_json(process_doc)
     return DeploymentRecord(
         id=doc["id"],
-        site_id=doc["site"],
-        product_id=doc["product"],
-        unit_id=doc["unit"],
+        site_id=expect(doc["site"], str, "record site"),
+        product_id=expect(doc["product"], str, "record product"),
+        unit_id=expect(doc["unit"], str, "record unit"),
         process=process,
-        params=tuple(sorted(doc.get("params", {}).items())),
+        params=tuple(sorted(expect(doc.get("params", {}), dict, "params").items())),
         trace=trace_from_json(doc["trace"], events),
         mode=DeployMode(doc["mode"]),
         started_at=doc["started_at"],
@@ -160,8 +163,7 @@ def empty_universe(root: Path | None = None) -> Universe:
 # Canonical serialization and digests
 
 
-def _documents_to_json(u: Universe) -> dict:
-    """Everything but the deployment records."""
+def universe_to_json(u: Universe) -> dict:
     return {
         "enterprise": enterprise_to_json(u.enterprise),
         "catalog": {
@@ -171,29 +173,31 @@ def _documents_to_json(u: Universe) -> dict:
         "sites": {
             site: site_state_to_json(state) for site, state in sorted(u.site_states.items())
         },
+        "deployments": {rid: record.to_json() for rid, record in sorted(u.deployments.items())},
     }
 
 
-def universe_to_json(u: Universe) -> dict:
-    doc = _documents_to_json(u)
-    doc["deployments"] = {
-        rid: record.to_json() for rid, record in sorted(u.deployments.items())
-    }
-    return doc
+def _object_text(members) -> str:
+    """Canonical JSON of the object with these (key, value text) members."""
+    return "{" + ",".join(f"{canonical_json(key)}:{text}" for key, text in sorted(members)) + "}"
 
 
 def universe_digest(u: Universe) -> str:
     """SHA-256 of ``canonical_json(universe_to_json(u))``.
 
-    The text is assembled from each record's cached canonical JSON, in the
-    key order ``sort_keys`` gives, so no record is re-serialised per call.
+    The text is joined from each document's cached canonical JSON, the text
+    its store file holds, in the key order ``sort_keys`` gives.
     """
-    parts = {key: canonical_json(value) for key, value in _documents_to_json(u).items()}
-    records = ",".join(
-        f"{canonical_json(rid)}:{u.deployments[rid].canonical_json}" for rid in sorted(u.deployments)
+    catalog = (
+        (server, "[" + ",".join(unit.canonical_json for unit in units) + "]")
+        for server, units in u.catalog.items()
     )
-    parts["deployments"] = "{" + records + "}"
-    text = "{" + ",".join(f"{canonical_json(key)}:{parts[key]}" for key in sorted(parts)) + "}"
+    text = _object_text([
+        ("catalog", _object_text(catalog)),
+        ("deployments", _object_text((rid, r.canonical_json) for rid, r in u.deployments.items())),
+        ("enterprise", u.enterprise.canonical_json),
+        ("sites", _object_text((site, s.canonical_json) for site, s in u.site_states.items())),
+    ])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -278,13 +282,6 @@ def init_universe(path: str | Path) -> Universe:
     return u
 
 
-def _read_json(path: Path, document: str) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise StoreCorruptError(document, str(err)) from None
-
-
 # Parsed records keyed by the exact bytes of their file. An entry lives only as
 # long as some Universe (or caller) holds its record, so the memo is bounded by
 # the live stores; a file whose bytes changed misses and is parsed afresh.
@@ -293,17 +290,21 @@ _parsed_records: weakref.WeakValueDictionary[bytes, DeploymentRecord] = (
 )
 
 
-def _load_record(path: str, document: str, processes: dict, events: dict) -> DeploymentRecord:
+def _read_document(path: str | Path, document: str, decode, *args, memo=None):
+    """``decode(doc, *args)`` of the JSON object in the file at ``path``; any
+    fault in the file is StoreCorruptError naming ``document``. With a
+    ``memo``, a file whose bytes it holds is not parsed again."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        record = _parsed_records.get(data)
-        if record is None:
-            record = record_from_json(json.loads(data.decode()), processes, events)
-            _parsed_records[data] = record
-    except (OSError, ValueError, KeyError) as err:
+        value = None if memo is None else memo.get(data)
+        if value is None:
+            value = decode(expect(json.loads(data.decode()), dict, "document"), *args)
+            if memo is not None:
+                memo[data] = value
+    except (OSError, ValueError, KeyError, ExpressionSyntaxError) as err:
         raise StoreCorruptError(document, str(err)) from None
-    return record
+    return value
 
 
 def open_universe(path: str | Path) -> Universe:
@@ -322,10 +323,7 @@ def open_universe(path: str | Path) -> Universe:
     ent_path = root / "enterprise.json"
     if not ent_path.exists():
         raise StoreCorruptError("enterprise.json", "missing")
-    try:
-        enterprise = enterprise_from_json(_read_json(ent_path, "enterprise.json"))
-    except (ValueError, KeyError) as err:
-        raise StoreCorruptError("enterprise.json", str(err)) from None
+    enterprise = _read_document(ent_path, "enterprise.json", enterprise_from_json)
 
     catalog: dict[str, tuple[PackagedUnit, ...]] = {}
     catalog_dir = root / "catalog"
@@ -333,14 +331,10 @@ def open_universe(path: str | Path) -> Universe:
         for server_dir in sorted(catalog_dir.iterdir()):
             if not server_dir.is_dir():
                 continue
-            units = []
-            for unit_path in sorted(server_dir.glob("*.json")):
-                doc_name = f"catalog/{server_dir.name}/{unit_path.name}"
-                try:
-                    units.append(unit_from_json(_read_json(unit_path, doc_name)))
-                except (ValueError, KeyError) as err:
-                    raise StoreCorruptError(doc_name, str(err)) from None
-            catalog[server_dir.name] = tuple(units)
+            catalog[server_dir.name] = tuple(
+                _read_document(path, f"catalog/{server_dir.name}/{path.name}", unit_from_json)
+                for path in sorted(server_dir.glob("*.json"))
+            )
 
     # Tables local to this open: each distinct deployed unit, process copy and
     # trace event is built once and shared by every document that holds it.
@@ -355,13 +349,9 @@ def open_universe(path: str | Path) -> Universe:
             state_path = site_dir / "state.json"
             if not state_path.exists():
                 continue
-            doc_name = f"sites/{site_dir.name}/state.json"
-            try:
-                site_states[site_dir.name] = site_state_from_json(
-                    _read_json(state_path, doc_name), units
-                )
-            except (ValueError, KeyError) as err:
-                raise StoreCorruptError(doc_name, str(err)) from None
+            site_states[site_dir.name] = _read_document(
+                state_path, f"sites/{site_dir.name}/state.json", site_state_from_json, units
+            )
 
     deployments: dict[str, DeploymentRecord] = {}
     dep_dir = os.path.join(root, "deployments")
@@ -369,8 +359,9 @@ def open_universe(path: str | Path) -> Universe:
         for name in sorted(n for n in os.listdir(dep_dir) if n.endswith(".json")):
             # Keyed by file name, so a record copied over another fails
             # cross_validate's id check instead of silently replacing it.
-            deployments[name[: -len(".json")]] = _load_record(
-                os.path.join(dep_dir, name), f"deployments/{name}", processes, events
+            deployments[name[: -len(".json")]] = _read_document(
+                os.path.join(dep_dir, name), f"deployments/{name}", record_from_json,
+                processes, events, memo=_parsed_records,
             )
 
     u = Universe(enterprise, catalog, site_states, deployments, root)
@@ -412,7 +403,7 @@ def save_universe(
                     raise DuplicateUnitError(f"deployment record {rid!r} already exists")
 
         if base is None or u.enterprise is not base.enterprise:
-            _write_json(root / "enterprise.json", enterprise_to_json(u.enterprise))
+            _write_json(root / "enterprise.json", u.enterprise.canonical_json)
 
         catalog_dir = root / "catalog"
         for server, units in u.catalog.items():
@@ -425,7 +416,7 @@ def save_universe(
                 if stale.name not in wanted:
                     stale.unlink()
             for unit in units:
-                _write_json(server_dir / f"{unit.id}.json", unit_to_json(unit))
+                _write_json(server_dir / f"{unit.id}.json", unit.canonical_json)
         if catalog_dir.is_dir() and (base is None or u.catalog.keys() != base.catalog.keys()):
             for server_dir in catalog_dir.iterdir():
                 if server_dir.is_dir() and server_dir.name not in u.catalog:
@@ -439,15 +430,16 @@ def save_universe(
                 continue
             site_dir = sites_dir / site
             site_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(site_dir / "state.json", site_state_to_json(state))
+            _write_json(site_dir / "state.json", state.canonical_json)
 
         for rid in new_records:  # append-only
-            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].to_json())
+            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].canonical_json)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` unless the file already holds exactly these bytes."""
-    data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+def _write_json(path: Path, text: str) -> None:
+    """Write a document's canonical ``text`` and a newline, unless the file
+    already holds exactly these bytes."""
+    data = (text + "\n").encode()
     try:
         if path.read_bytes() == data:
             return
@@ -507,10 +499,6 @@ def remove_unit(u: Universe, server_id: str, unit_id: str) -> Universe:
     catalog = dict(u.catalog)
     catalog[server_id] = tuple(x for x in units if x.id != unit_id)
     return replace(u, catalog=catalog)
-
-
-def list_units(u: Universe, server_id: str) -> list[str]:
-    return sorted(unit.id for unit in u.catalog.get(server_id, ()))
 
 
 def record_deployment(u: Universe, record: DeploymentRecord) -> Universe:

@@ -35,7 +35,7 @@ class Version:
 
     @classmethod
     def parse(cls, text: str) -> "Version":
-        if not re.match(r"^\d+(\.\d+)*$", text):
+        if not isinstance(text, str) or not re.match(r"^\d+(\.\d+)*$", text):
             raise ValueError(f"invalid version: {text!r}")
         return cls(tuple(int(p) for p in text.split(".")))
 
@@ -105,8 +105,6 @@ class Size:
 
 PropertyValue = Union[str, int, bool, Version, Size]
 
-KINDS = ("text", "integer", "boolean", "version", "bytes")
-
 
 def kind_of(value: PropertyValue) -> str:
     # bool first: bool is a subclass of int.
@@ -170,9 +168,28 @@ def size_from_json(raw) -> Size:
     raise ValueError(f"not a size: {raw!r}")
 
 
+_JSON_SHAPES = {dict: "object", list: "array", str: "string"}
+
+
+def expect(raw, shape: type, where: str):
+    """``raw`` if it is a JSON value of ``shape`` (dict, list or str), else
+    ValueError naming ``where``. The document decoders check each container
+    and id they read with it, so an ill-shaped document fails to decode
+    instead of raising TypeError deep inside."""
+    if not isinstance(raw, shape):
+        raise ValueError(f"{where}: expected {_JSON_SHAPES[shape]}")
+    return raw
+
+
+def expect_items(raw, shape: type, where: str) -> list:
+    """``raw`` if it is a JSON array whose items are all of ``shape``."""
+    if not all(isinstance(item, shape) for item in expect(raw, list, where)):
+        raise ValueError(f"{where}: expected an array of {_JSON_SHAPES[shape]}s")
+    return raw
+
+
 def parse_property_map(obj, where: str = "properties") -> dict[str, PropertyValue]:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected object")
+    expect(obj, dict, where)
     props: dict[str, PropertyValue] = {}
     for name, raw in obj.items():
         if not valid_name(name):

@@ -11,7 +11,8 @@ from orya import universe as universe_mod
 from orya.process import MAX_PROGRESS_POINTS, Activity, ActivityKind, ProcessDef, Seq
 from orya.units import unit_to_json
 from orya.universe import empty_universe, open_universe, save_universe, universe_digest
-from test_universe import count_writes, stat_snapshot
+from orya.values import canonical_json
+from test_universe import count_writes, oracle_digest, stat_snapshot
 
 
 @pytest.fixture
@@ -217,7 +218,9 @@ class TestCommittedUniverseUntouched:
         resp = engine.handle(req)
         assert resp["ok"] and not resp["refusal"], resp
         assert engine.universe is not before
-        assert universe_digest(before) == digest
+        # The digest joins texts cached before the op; the oracle re-encodes
+        # every value, so it also sees a value written in place.
+        assert universe_digest(before) == oracle_digest(before) == digest
         assert {m.id: m.properties for m in before.enterprise.machines} == props
 
     def test_activate_keeps_the_enterprise_object(self, store):
@@ -530,6 +533,50 @@ class TestCommitWritesWhatChanged:
         resp = engine.handle({"op": "activate", "site": "site1", "unit": "editor-1.2"})
         assert resp["ok"] and resp["report"]["entries"][0]["record"] == "d000001"
         assert universe_digest(engine.universe) == universe_digest(open_universe(store))
+
+
+def store_files(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*.json"))}
+
+
+def canonical_bytes(data):
+    return (canonical_json(json.loads(data)) + "\n").encode()
+
+
+class TestOneEncoding:
+    """Each store file holds its document's canonical JSON, the text the digest hashes."""
+
+    def test_every_saved_file_is_its_canonical_text(self, store):
+        engine = deployed_engine(store)
+        assert set_prop(engine, site="site2", name="tier", value="gold")["ok"]
+        assert engine.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.2"})["ok"]
+        files = store_files(store)
+        assert sorted(files) == [
+            "catalog/srv1/editor-1.0.json",
+            "catalog/srv1/editor-1.2.json",
+            "deployments/d000000.json",
+            "deployments/d000001.json",
+            "enterprise.json",
+            "sites/site1/state.json",
+        ]
+        for name, data in files.items():
+            assert data == canonical_bytes(data), name
+
+    def test_pretty_printed_store_opens_and_keeps_unchanged_files(self, store):
+        engine = deployed_engine(store)
+        digest = engine.handle({"op": "digest"})["digest"]
+        for path in store.rglob("*.json"):
+            path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
+        pretty = store_files(store)
+        assert all(data != canonical_bytes(data) for data in pretty.values())
+
+        engine = svc.LocalEngine(store)
+        assert engine.handle({"op": "digest"})["digest"] == digest
+        assert set_prop(engine, site="site1", name="tier", value="gold")["ok"]
+        after = store_files(store)
+        assert after.keys() == pretty.keys()
+        assert [name for name in after if after[name] != pretty[name]] == ["enterprise.json"]
+        assert after["enterprise.json"] == canonical_bytes(after["enterprise.json"])
 
 
 class TestTwoEngines:

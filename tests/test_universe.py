@@ -39,7 +39,6 @@ from orya.universe import (
     cross_validate,
     empty_universe,
     init_universe,
-    list_units,
     open_universe,
     publish_unit,
     query_status,
@@ -89,7 +88,7 @@ class TestRoundTrip:
         save_universe(u)
         loaded = open_universe(tmp_path / "u")
         assert universe_digest(loaded) == universe_digest(u)
-        assert list_units(loaded, "srv1") == ["u-1"]
+        assert [unit.id for unit in loaded.catalog["srv1"]] == ["u-1"]
         assert loaded.deployments.keys() == u.deployments.keys()
 
     def test_init_requires_empty_dir(self, tmp_path):
@@ -121,7 +120,82 @@ class TestRoundTrip:
         assert open_universe(tmp_path / "u").catalog["srv1"] == ()
 
 
+STATE, RECORD = "sites/site1/state.json", "deployments/d000000.json"
+ILL_SHAPED = [
+    *[(STATE, (), value) for value in ([], 1, None, "x")],
+    *[(RECORD, (), value) for value in ([], 1, None, "x")],
+    (STATE, ("units",), [1]),
+    (STATE, ("units",), 5),
+    (STATE, ("units", 0, "config"), []),
+    (STATE, ("products",), [[]]),
+    (RECORD, ("trace",), 1),
+    (RECORD, ("params",), []),
+    (RECORD, ("trace", "events"), [1]),
+    (RECORD, ("site",), []),
+    (RECORD, ("process", "root", "seq"), 1),
+    ("catalog/srv1/u-1.json", (), []),
+    ("catalog/srv1/u-1.json", ("provides",), [1]),
+    ("catalog/srv1/u-1.json", ("version",), 1),
+    ("catalog/srv1/u-1.json", ("constraints",), ["os ="]),
+    ("enterprise.json", (), []),
+    ("enterprise.json", ("machines",), [1]),
+    ("enterprise.json", ("machines", 0, "id"), []),
+]
+
+
+def replaced(doc, keys, value):
+    """``doc`` with the value at the path ``keys`` replaced by ``value``."""
+    if not keys:
+        return value
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return doc
+
+
 class TestCorruption:
+    @pytest.mark.parametrize(
+        "document, keys, value",
+        ILL_SHAPED,
+        ids=[f"{d}:{'.'.join(map(str, k))}={json.dumps(v)}" for d, k, v in ILL_SHAPED],
+    )
+    def test_ill_shaped_document_is_corrupt(self, tmp_path, document, keys, value):
+        root = tmp_path / "u"
+        save_universe(populated_universe(root))
+        path = root / document
+        path.write_text(json.dumps(replaced(json.loads(path.read_text()), keys, value)))
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == document
+
+    def test_every_subtree_made_ill_shaped_opens_or_is_corrupt(self, tmp_path):
+        """No other exception escapes the open, whichever node is replaced."""
+        root = tmp_path / "u"
+        save_universe(populated_universe(root))
+        outcomes = []
+        for path in sorted(root.rglob("*.json")):
+            intact = path.read_text()
+            paths = [()]
+            for keys in paths:  # grows as it goes, to every node in the document
+                node = json.loads(intact)
+                for key in keys:
+                    node = node[key]
+                if isinstance(node, dict):
+                    paths.extend(keys + (key,) for key in node)
+                elif isinstance(node, list):
+                    paths.extend(keys + (i,) for i in range(len(node)))
+            for keys in paths:
+                for value in ([], {}, 1, None, "x", [1]):
+                    path.write_text(json.dumps(replaced(json.loads(intact), keys, value)))
+                    try:
+                        open_universe(root)
+                        outcomes.append("opened")
+                    except StoreCorruptError:
+                        outcomes.append("corrupt")
+            path.write_text(intact)
+        assert outcomes.count("corrupt") > outcomes.count("opened") > 0
+
     def test_missing_enterprise(self, tmp_path):
         (tmp_path / "u").mkdir()
         with pytest.raises(StoreCorruptError) as exc:
@@ -395,7 +469,7 @@ class TestRecordMemo:
         stat = tampered.stat()
         doc = json.loads(tampered.read_text())
         doc["process"]["id"] = "q"
-        tampered.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        tampered.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.utime(tampered, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert tampered.stat().st_size == stat.st_size
 
