@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, reduce
 from typing import Union
 
 from .errors import ExpressionSyntaxError
@@ -245,6 +246,25 @@ def parse_expression(text: str) -> Expression:
     return _Parser(text).parse()
 
 
+# Trees by source text, so that every holder of one text shares one tree.
+# Trees are immutable. The oldest entry goes first once the table is full, so
+# text from outside cannot grow it without bound.
+MAX_PARSED = 4096
+_parsed: dict[str, Expression] = {}
+
+
+def parse_once(text: str) -> Expression:
+    """The tree of ``text`` from the shared table; ``parse_expression`` runs
+    only on a miss, and text that fails to parse is not kept."""
+    tree = _parsed.get(text)
+    if tree is None:
+        tree = parse_expression(text)
+        if len(_parsed) >= MAX_PARSED:
+            del _parsed[next(iter(_parsed))]
+        _parsed[text] = tree
+    return tree
+
+
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
     return re.sub(r"\\(.)", r"\1", body)
@@ -345,6 +365,12 @@ class EvalOutcome:
         return self.status is Status.SATISFIED
 
     def to_json(self) -> dict:
+        """The outcome's report fragment, built once per outcome and shared
+        by every report that holds the outcome: read it, never write it."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         out: dict = {"status": self.status.value}
         if self.reasons:
             out["reasons"] = [{"clause": r.clause, "code": r.code} for r in self.reasons]
@@ -434,12 +460,75 @@ def _compare(actual: PropertyValue, op: str, literal: PropertyValue) -> bool:
     raise ValueError(f"unknown operator {op!r}")
 
 
+def names_read(expr: Expression) -> frozenset[str]:
+    """The property names an expression reads."""
+    if isinstance(expr, (Exists, Compare)):
+        return frozenset((expr.name,))
+    if isinstance(expr, Not):
+        return names_read(expr.operand)
+    return names_read(expr.left) | names_read(expr.right)
+
+
 def conjunction(exprs) -> Expression | None:
     """Fold expressions into a left-associated conjunction (None if empty)."""
     node: Expression | None = None
     for e in exprs:
         node = e if node is None else And(node, e)
     return node
+
+
+# ---------------------------------------------------------------------------
+# Shared evaluation
+
+_MISSING = object()
+
+
+class EvalMemo:
+    """Outcomes shared by the evaluations of one push, as in Rete's alpha
+    memory (Forgy 1982): a fleet has few distinct property tuples.
+
+    A key is the constraint text plus, for each property name the text reads
+    in sorted order, the value's type and the value (or a missing marker).
+    Never ``Expression`` or bare value equality: ``1 == True`` would merge
+    ``tier = 1`` with ``tier = true``, and ``Version`` padding ``v >= 1.0``
+    with ``v >= 1.0.0``, whose reasons print differently. Site values equal
+    under padding may share an entry: an outcome prints only the expression.
+    Outcomes, checks and their report fragments are shared; never write them.
+    """
+
+    def __init__(self):
+        self._names: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._outcomes: dict[tuple, EvalOutcome] = {}
+        self._standing: dict[tuple, StandingCheck] = {}
+
+    def _key(self, texts: tuple[str, ...], props: dict[str, PropertyValue]) -> tuple:
+        names = self._names.get(texts)
+        if names is None:
+            read = frozenset().union(*(names_read(parse_once(t)) for t in texts))
+            names = self._names[texts] = tuple(sorted(read))
+        return texts, tuple([(type(v), v) for v in (props.get(n, _MISSING) for n in names)])
+
+    def outcome(self, texts: tuple[str, ...], props: dict[str, PropertyValue]) -> EvalOutcome:
+        """The conjunction of ``texts`` on ``props`` (SATISFIED when empty).
+        Each distinct text is evaluated once per distinct typed value of the
+        properties it reads."""
+        key = self._key(texts, props)
+        out = self._outcomes.get(key)
+        if out is None:
+            if len(texts) == 1:
+                out = evaluate(parse_once(texts[0]), props)
+            else:
+                parts = (self.outcome((t,), props) for t in texts)
+                out = reduce(combine_and, parts, EvalOutcome.satisfied())
+            self._outcomes[key] = out
+        return out
+
+    def standing(self, text: str, props: dict[str, PropertyValue]) -> StandingCheck:
+        key = self._key((text,), props)
+        check = self._standing.get(key)
+        if check is None:
+            check = self._standing[key] = StandingCheck(text, self.outcome((text,), props))
+        return check
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +542,28 @@ class StandingCheck:
     constraint: str
     outcome: EvalOutcome
 
+    def to_json(self) -> dict:
+        """Built once per check and shared, like ``EvalOutcome.to_json``."""
+        return self._json
 
-def check_standing(site, delta_footprint: Size | int = 0) -> list[StandingCheck]:
+    @cached_property
+    def _json(self) -> dict:
+        return {"constraint": self.constraint, "outcome": self.outcome.to_json()}
+
+
+def check_standing(
+    site, delta_footprint: Size | int = 0, memo: EvalMemo | None = None
+) -> tuple[StandingCheck, ...]:
     """Evaluate a machine's standing constraints under a simulated install.
 
     The conventional ``disk.free`` property is reduced by ``delta_footprint``
     (floored at zero) before evaluation; other properties are untouched.
-    ``site`` is a ``Machine``: its ``parsed_standing`` trees are evaluated, so
-    each text is parsed once per machine.
+    Checks come from ``memo``, or from a memo local to the call.
     """
+    memo = EvalMemo() if memo is None else memo
     delta = delta_footprint.count if isinstance(delta_footprint, Size) else int(delta_footprint)
-    props = dict(site.properties)
+    props = site.properties
     free = props.get(DISK_FREE)
     if delta and isinstance(free, Size):
-        props[DISK_FREE] = Size(max(0, free.count - delta))
-    return [
-        StandingCheck(text, evaluate(tree, props))
-        for text, tree in zip(site.standing_constraints, site.parsed_standing)
-    ]
+        props = {**props, DISK_FREE: Size(max(0, free.count - delta))}
+    return tuple(memo.standing(text, props) for text in site.standing_constraints)

@@ -54,12 +54,6 @@ class Machine:
     standing_constraints: tuple[str, ...] = ()  # constraint source text
     group_ids: tuple[str, ...] = ()
 
-    @cached_property
-    def parsed_standing(self) -> tuple[expr_mod.Expression, ...]:
-        """The standing constraint trees, parsed on first use and kept with
-        the machine."""
-        return tuple(expr_mod.parse_expression(c) for c in self.standing_constraints)
-
 
 @dataclass(frozen=True)
 class User:
@@ -103,11 +97,6 @@ class DeployedUnit:
     @property
     def id(self) -> str:  # installed-unit protocol used by the safety checks
         return self.unit_id
-
-    @cached_property
-    def parsed_constraints(self) -> tuple[expr_mod.Expression, ...]:
-        """The constraint trees, parsed on first use and kept with the unit."""
-        return tuple(expr_mod.parse_expression(c) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,7 @@ def validate_enterprise(model: EnterpriseModel) -> ValidationReport:
                 violations.append(Violation("BAD_CONSTRAINT", m.id, f"bad property name {name!r}"))
         for text in m.standing_constraints:
             try:
-                expr_mod.parse_expression(text)
+                expr_mod.parse_once(text)
             except ExpressionSyntaxError as err:
                 violations.append(Violation("BAD_CONSTRAINT", m.id, f"{text!r}: {err.message}"))
         for gid in m.group_ids:

@@ -18,7 +18,7 @@ from .errors import (
     UnknownProductError,
     UnknownUnitError,
 )
-from .expr import Expression, Status
+from .expr import EvalMemo, Status
 from .model import ChangeEvent, DeployedUnit, Machine, resolve_targets
 from .process import (
     Activity,
@@ -199,10 +199,6 @@ def _site_view(handle) -> Machine:
     return handle.machine
 
 
-def _parse_filters(texts) -> tuple[Expression, ...]:
-    return tuple(expr_mod.parse_expression(t) for t in texts)
-
-
 def _run_process(
     u: Universe,
     fleet,
@@ -266,26 +262,29 @@ def push_deploy(u: Universe, req: DeployRequest, fleet) -> tuple[Universe, Fleet
     chosen unit's process, record the outcome. Sites with no admissible
     candidate are skipped with the per-candidate reasons attached. A unit's
     process is built and validated once per push, the first time a site
-    chooses the unit.
+    chooses the unit, and the push's one ``EvalMemo`` evaluates each
+    constraint once per distinct input.
     """
     units_by_id = _catalog_candidates(u, req.product_id)
     if not units_by_id:
         raise UnknownProductError(f"product {req.product_id!r} not in any catalog")
-    filters = _parse_filters(req.extra_filters)
+    for text in req.extra_filters:
+        expr_mod.parse_once(text)  # SYNTAX before any site
     targets = resolve_targets(u.enterprise, req.target)
     processes: dict[str, ProcessDef | None] = {}  # unit id -> process, None if invalid
+    memo = EvalMemo()
 
     entries: list[SiteOutcome] = []
     for site_id in sorted(targets):
         try:
-            entry, u = _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes)
+            entry, u = _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo)
         except Exception as err:  # per-site isolation: never abort the loop
             entry = SiteOutcome(site_id, "FAILED", reason=str(err))
         entries.append(entry)
     return u, FleetReport(tuple(entries))
 
 
-def _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes):
+def _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo):
     handle = fleet.sites[site_id]
     view = _site_view(handle)
     state = handle.get_state()
@@ -298,7 +297,13 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, filters, processes):
     if not candidates:
         return SiteOutcome(site_id, "SKIPPED", reason="ALREADY_DEPLOYED"), u
     sel = select_package(
-        req.product_id, candidates, view, state, policy=req.policy, extra_filters=filters
+        req.product_id,
+        candidates,
+        view,
+        state,
+        policy=req.policy,
+        extra_filters=req.extra_filters,
+        memo=memo,
     )
     if sel.chosen is None:
         return SiteOutcome(site_id, "SKIPPED", reason="NO_ADMISSIBLE", selection=sel), u
@@ -417,9 +422,10 @@ def on_property_change(
     handle = fleet.sites[site_id]
     view = _site_view(handle)
     state = handle.get_state()
+    memo = EvalMemo()
 
     standing_ok = all(
-        s.outcome.status is Status.SATISFIED for s in expr_mod.check_standing(view, 0)
+        s.outcome.status is Status.SATISFIED for s in expr_mod.check_standing(view, 0, memo)
     )
 
     actions: list[PlanAction] = []
@@ -427,8 +433,8 @@ def on_property_change(
         if du.state not in ("INSTALLED", "ACTIVE"):
             continue
         reasons: list[str] = []
-        for text, tree in zip(du.constraints, du.parsed_constraints):
-            outcome = expr_mod.evaluate(tree, view.properties)
+        for text in du.constraints:
+            outcome = memo.outcome((text,), view.properties)
             if outcome.status is not Status.SATISFIED:
                 reasons.append(f"{outcome.status.value}: {text}")
         if not standing_ok:
@@ -441,7 +447,7 @@ def on_property_change(
         replacement = None
         if candidates:
             sel = select_package(
-                du.product_id, candidates, view, state, policy=policy, replacing=du
+                du.product_id, candidates, view, state, policy=policy, replacing=du, memo=memo
             )
             if sel.chosen is not None and sel.chosen != du.unit_id:
                 replacement = sel.chosen

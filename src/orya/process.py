@@ -96,10 +96,10 @@ class Activity:
 
     @cached_property
     def expression(self) -> expr_mod.Expression | None:
-        """The parsed ``expr`` of a verify (None when absent), parsed on first
-        use and kept with the activity."""
+        """The tree of a verify's ``expr`` (None when absent), from the shared
+        parse table."""
         text = self.param("expr")
-        return None if text is None else expr_mod.parse_expression(text)
+        return None if text is None else expr_mod.parse_once(text)
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,9 @@ _REQUIRED_PARAMS = {
     ActivityKind.VERIFY: (),  # "expr" optional: absent means vacuous OK
 }
 
+# The JSON type of each named parameter, whichever activity carries it.
+_PARAM_TYPES = {"expr": str, "resource": str, "unit": str, "from": str, "to": str, "params": dict}
+
 
 # ---------------------------------------------------------------------------
 # JSON codec: {"seq": [...]}, {"par": [...]}, {"act": "<kind>", ...params}
@@ -149,7 +152,13 @@ def step_from_json(node) -> Step:
     if "act" in node:
         kind = ActivityKind(node["act"])
         params = {k: v for k, v in node.items() if k != "act"}
-        return Activity.make(kind, **params)
+        for name, shape in _PARAM_TYPES.items():
+            if name in params:
+                expect(params[name], shape, f"{kind.value} parameter {name!r}")
+        activity = Activity.make(kind, **params)
+        if kind is ActivityKind.VERIFY:
+            activity.expression  # SYNTAX here, not at every deploy
+        return activity
     raise ValueError(f"process node needs 'seq', 'par' or 'act': {node!r}")
 
 

@@ -4,6 +4,14 @@ A candidate is admissible when its own constraints hold on the site, the
 site's standing constraints survive the extra footprint, and installing it
 raises no blocking safety conflict. Among admissible candidates the highest
 product version wins, then the smallest footprint, then the smallest id.
+
+Every constraint is evaluated through an ``expr.EvalMemo``: one per push, or
+one per call when the caller passes none. Its entries are keyed by the
+constraint's source text and the typed values of the properties the text
+reads, so a push evaluates each text once per distinct input, not once per
+site, and the sites that share an outcome share its report fragment. Keys
+are never ``Expression`` equality or bare value equality: ``1 == True`` and
+``Version`` padding would merge constraints whose reports differ.
 """
 
 from __future__ import annotations
@@ -11,8 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import expr as expr_mod
-from .expr import EvalOutcome, StandingCheck, Status, check_standing
+from .expr import EvalMemo, EvalOutcome, StandingCheck, Status, check_standing
 from .safety import Conflict, SafetyPolicy, blocking_conflicts, check_safety
 
 
@@ -31,9 +38,7 @@ class CandidateReport:
             "unit": self.unit_id,
             "admissible": self.admissible,
             "constraints": self.constraint_outcome.to_json(),
-            "standing": [
-                {"constraint": s.constraint, "outcome": s.outcome.to_json()} for s in self.standing
-            ],
+            "standing": [s.to_json() for s in self.standing],
             "conflicts": [c.to_json() for c in self.conflicts],
             "reasons": list(self.reasons),
         }
@@ -73,24 +78,28 @@ def select_package(
     site,
     state,
     policy: SafetyPolicy = SafetyPolicy.REJECT,
-    extra_filters=(),
+    extra_filters: tuple[str, ...] = (),
     replacing=None,
+    memo: EvalMemo | None = None,
 ) -> SelectionReport:
     """Rank the product's candidates for one site and pick the winner.
 
-    ``extra_filters`` are evaluated against each candidate's descriptive
-    properties (operator-supplied wishes); any non-satisfied filter rules a
-    candidate out before the site checks run. Unknown outcomes count as
-    inadmissible but stay distinguishable in the report.
+    ``extra_filters`` is constraint text evaluated against each candidate's
+    descriptive properties (operator-supplied wishes); any non-satisfied
+    filter rules a candidate out before the site checks run. Unknown outcomes
+    count as inadmissible but stay distinguishable in the report.
 
     For update flows ``replacing`` names the deployed unit the winner will
     replace: it is excluded from the safety baseline and its footprint is
     credited back before the standing-constraint check.
+
+    Outcomes come from ``memo``, or from a memo local to the call.
     """
     for unit in candidates:
         if unit.product_id != product_id:
             raise ValueError(f"candidate {unit.id!r} does not belong to product {product_id!r}")
 
+    memo = EvalMemo() if memo is None else memo
     installed = list(state.deployed_units) if state is not None else []
     freed = 0
     if replacing is not None:
@@ -98,32 +107,27 @@ def select_package(
         freed = replacing.footprint.count
     reports: list[CandidateReport] = []
     admissible_units = []
+    standing_by_delta: dict[int, tuple[StandingCheck, ...]] = {}
 
     for unit in candidates:
         reasons: list[str] = []
 
         filter_outcome = None
         if extra_filters:
-            outcomes = [
-                expr_mod.evaluate(f, unit.descriptive_properties) for f in extra_filters
-            ]
-            filter_outcome = functools.reduce(expr_mod.combine_and, outcomes)
+            filter_outcome = memo.outcome(extra_filters, unit.descriptive_properties)
             if not filter_outcome.is_satisfied:
                 reasons.append("FILTERED")
 
-        parsed = unit.parsed_constraints
-        if parsed:
-            constraint_outcome = functools.reduce(
-                expr_mod.combine_and, (expr_mod.evaluate(e, site.properties) for e in parsed)
-            )
-        else:
-            constraint_outcome = EvalOutcome.satisfied()
+        constraint_outcome = memo.outcome(unit.constraints, site.properties)
         if constraint_outcome.status is Status.VIOLATED:
             reasons.append("CONSTRAINT_VIOLATED")
         elif constraint_outcome.status is Status.UNKNOWN:
             reasons.append("CONSTRAINT_UNKNOWN")
 
-        standing = tuple(check_standing(site, unit.footprint.count - freed))
+        delta = unit.footprint.count - freed
+        standing = standing_by_delta.get(delta)
+        if standing is None:
+            standing = standing_by_delta[delta] = check_standing(site, delta, memo)
         for s in standing:
             if s.outcome.status is Status.VIOLATED:
                 reasons.append("STANDING_VIOLATED")

@@ -48,8 +48,8 @@ class PackagedUnit:
 
     @cached_property
     def parsed_constraints(self) -> tuple[expr_mod.Expression, ...]:
-        """The constraint trees, parsed on first use and kept with the unit."""
-        return tuple(expr_mod.parse_expression(c) for c in self.constraints)
+        """The constraint trees, from the shared parse table."""
+        return tuple(expr_mod.parse_once(c) for c in self.constraints)
 
     @cached_property
     def canonical_json(self) -> str:
@@ -82,7 +82,7 @@ def unit_from_json(doc: dict) -> PackagedUnit:
     unit_id = expect(doc["id"], str, "unit id")
     constraints = tuple(expect_items(doc.get("constraints", []), str, "constraints"))
     for text in constraints:
-        expr_mod.parse_expression(text)  # reject bad constraints at load time
+        expr_mod.parse_once(text)  # reject bad constraints at load time
     provides = tuple(
         (expect(p["name"], str, "provided name"), Version.parse(p["version"]))
         for p in expect_items(doc.get("provides", []), dict, "provides")

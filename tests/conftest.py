@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from orya import expr as expr_mod
 from orya.expr import And, Compare, Exists, Not, Or
 from orya.model import EnterpriseModel, Group, Machine, MachineKind, User
 from orya.units import PackagedUnit, Resource
 from orya.values import Size, Version, parse_property_map
+
+
+@pytest.fixture(autouse=True)
+def fresh_parse_table(monkeypatch):
+    """Each test starts with an empty shared parse table, so what a test sees
+    parsed does not depend on the tests before it."""
+    monkeypatch.setattr(expr_mod, "_parsed", {})
 
 
 def make_unit(

@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import make_enterprise, make_unit
-from orya.cli import main
+from orya import service as svc
+from orya.cli import _emit, main
 from orya.model import enterprise_to_json
 from orya.units import unit_to_json
-from orya.universe import open_universe
+from orya.universe import empty_universe, open_universe, save_universe
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -243,3 +245,24 @@ class TestSimulate:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["simulate", "/nonexistent.json"]) == 2
+
+
+def test_printers_leave_a_push_response_unchanged(tmp_path, capsys):
+    """Sites with equal properties share their outcomes' report fragments, so
+    a printer that wrote one in place would change every site's answer."""
+    linux, win = {"os": "linux", "disk.free": "10GB"}, {"os": "win", "disk.free": "10GB"}
+    sites = {"l1": (linux, ()), "l2": (linux, ()), "w1": (win, ()), "w2": (win, ())}
+    save_universe(replace(empty_universe(tmp_path / "u"), enterprise=make_enterprise(sites)))
+    engine = svc.LocalEngine(tmp_path / "u")
+    for version, constraints in (("1.0", ['os = "linux"']), ("2.0", ['os = "linux"', "ram >= 1GB"])):
+        unit = make_unit(f"ed-{version}", product="editor", version=version, constraints=constraints)
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": unit_to_json(unit)})["ok"]
+    resp = engine.handle({"op": "deploy", "product": "editor", "group": "all", "dry_run": True})
+    entries = {e["site"]: e["selection"]["candidates"] for e in resp["report"]["entries"]}
+    assert entries["w1"][0]["constraints"] is entries["w2"][0]["constraints"]
+    assert entries["w1"][0]["constraints"]["reasons"]
+    before = json.dumps(resp, sort_keys=True)
+    for fmt in ("json", "text"):
+        _emit(resp, fmt)
+    capsys.readouterr()
+    assert json.dumps(resp, sort_keys=True) == before

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_expression
+from orya import expr as expr_mod
 from orya.errors import ExpressionSyntaxError
 from orya.expr import (
     MAX_NESTING,
@@ -196,3 +197,21 @@ class TestConjunction:
         assert conjunction([]) is None
         assert conjunction([a]) == a
         assert conjunction([a, b, c]) == And(And(a, b), c)
+
+
+class TestParseTable:
+    def test_one_tree_per_text(self):
+        assert expr_mod.parse_once("tier >= 2") is expr_mod.parse_once("tier >= 2")
+        assert expr_mod.parse_once("tier >= 2") == parse_expression("tier >= 2")
+
+    def test_text_that_fails_is_not_kept(self):
+        with pytest.raises(ExpressionSyntaxError):
+            expr_mod.parse_once("os =")
+        assert "os =" not in expr_mod._parsed
+
+    def test_distinct_texts_past_the_cap_evict_the_oldest(self):
+        for i in range(expr_mod.MAX_PARSED + 50):
+            expr_mod.parse_once(f"n = {i}")
+        assert len(expr_mod._parsed) == expr_mod.MAX_PARSED
+        assert "n = 0" not in expr_mod._parsed
+        assert f"n = {expr_mod.MAX_PARSED + 49}" in expr_mod._parsed

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -159,6 +160,7 @@ class TestUnitWorkOncePerPush:
     def test_each_text_is_parsed_once_per_value(self, monkeypatch):
         u, n_sites = mixed_fleet()
         fleet = build_fleet(u)
+        monkeypatch.setattr(expr_mod, "_parsed", {})
         parsed = Counter()
         monkeypatch.setattr(
             expr_mod,
@@ -167,12 +169,14 @@ class TestUnitWorkOncePerPush:
         )
         u, report = deploy(u, fleet, sites=tuple(sorted(fleet.sites)))
         assert report.summary == {"DEPLOYED": n_sites}
-        # Each site's view of its machine is one value, whatever the number
-        # of candidates its standing constraint is checked against.
-        assert parsed.pop(STANDING) == n_sites
-        # The units' own text was parsed when they were published; the push
-        # parses only each chosen unit's verify, once.
-        assert parsed == Counter({'os = "linux" and exists(os)': 1, 'os = "win"': 1})
+        # One tree per distinct text, whatever the number of sites and
+        # candidates that read it: the standing text, the units' constraints
+        # (the table was emptied after they were published) and each chosen
+        # unit's verify.
+        assert parsed == Counter(
+            [STANDING, 'os = "linux"', "disk.free >= 2MB", "exists(os)", 'os = "win"']
+            + ['os = "linux" and exists(os)']
+        )
 
     def test_unit_text_is_parsed_once_per_unit(self, monkeypatch):
         unit = linux_unit(constraints=['os = "linux"', "exists(os)"])
@@ -224,6 +228,72 @@ class TestUnitWorkOncePerPush:
         }
         assert validated == [bad]
         assert not u.deployments
+
+
+def top_level_evaluations(monkeypatch):
+    """Every outermost ``expr.evaluate`` call, as (printed expression, typed
+    values of the properties it reads)."""
+    calls = []
+    depth = [0]
+    original = expr_mod.evaluate
+
+    def counted(tree, props):
+        if not depth[0]:
+            names = sorted(expr_mod.names_read(tree))
+            values = tuple((n, type(props.get(n)), props.get(n)) for n in names)
+            calls.append((expr_mod.print_expression(tree), values))
+        depth[0] += 1
+        try:
+            return original(tree, props)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr_mod, "evaluate", counted)
+    return calls
+
+
+class TestOneEvaluationPerInput:
+    def test_each_text_is_evaluated_once_per_projection_on_200_sites(self, monkeypatch):
+        rng = random.Random(12)
+        sites = {}
+        for i in range(200):
+            props = {
+                "os": rng.choice(["linux", "win", "mac"]),
+                "tier": rng.choice([1, 2, 3, True]),
+                "disk.free": rng.choice(["1GB", "3GB", "20GB"]),
+            }
+            if rng.random() < 0.7:
+                props["ram"] = rng.choice(["2GB", "8GB", "16GB"])
+            standing = rng.choice([("disk.free >= 2GB",), ("ram >= 4GB", "tier <= 2"), ()])
+            sites[f"s{i:03d}"] = (props, standing)
+        pool = ['os = "linux"', "tier >= 2", "tier = true", "ram >= 4GB", "exists(ram)",
+                'os != "win" or tier = 1']
+        units = [
+            ("srv1", linux_unit(f"ed-{k}", constraints=rng.sample(pool, rng.randrange(3)),
+                                footprint=rng.choice([10**8, 10**9]),
+                                properties={"channel": rng.choice(["stable", "beta"])}))
+            for k in range(8)
+        ]
+        u = make_universe(sites, units)
+        calls = top_level_evaluations(monkeypatch)
+        _, report = deploy(u, build_fleet(u), sites=tuple(sorted(sites)), dry_run=True,
+                           extra_filters=('channel = "stable"',))
+        assert len(report.entries) == 200
+        assert calls and max(Counter(calls).values()) == 1
+        assert len(calls) < len(sites)  # 43: fewer evaluations than sites
+
+    def test_an_extra_filter_is_evaluated_once_per_unit_not_per_site(self, monkeypatch):
+        units = [
+            ("srv1", linux_unit(f"ed-{c}-{i}", constraints=[], properties={"channel": c}))
+            for i, c in enumerate(["stable", "beta", "stable"])
+        ]
+        u = make_universe({f"s{i}": (LINUX, ()) for i in range(20)}, units)
+        calls = top_level_evaluations(monkeypatch)
+        _, report = deploy(u, build_fleet(u), sites=tuple(f"s{i}" for i in range(20)),
+                           dry_run=True, extra_filters=('channel = "stable"',))
+        assert report.summary == {"WOULD_DEPLOY": 20}
+        # Three units, two distinct channels: two evaluations for 60 checks.
+        assert [text for text, _ in calls] == ['channel = "stable"'] * 2
 
 
 class TestBrokerIsolation:

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_unit
-from orya.expr import Status, evaluate, parse_expression
+from orya.expr import EvalMemo, Status, evaluate, parse_expression
 from orya.model import ClientSiteState, DeployedUnit, Machine, MachineKind
 from orya.safety import SafetyPolicy, blocking_conflicts, check_safety
 from orya.selection import select_package
@@ -190,7 +192,7 @@ class TestReasons:
         ]
         report = select_package(
             "prod", units, make_site(), empty_state(),
-            extra_filters=(parse_expression('channel = "stable"'),),
+            extra_filters=('channel = "stable"',),
         )
         assert report.chosen == "stable"
         by_id = {c.unit_id: c for c in report.candidates}
@@ -228,3 +230,96 @@ class TestReplacing:
 def test_product_mismatch_raises():
     with pytest.raises(ValueError):
         select_package("prod", [make_unit("u", product="other")], make_site(), empty_state())
+
+
+# ---------------------------------------------------------------------------
+# One memo per push: sites that share a projection share outcomes, and
+# nothing else does.
+
+
+def shared_and_fresh(units, sites, filters=()):
+    """Each site's report from one memo shared by every site, checked against
+    a fresh memo per site."""
+    memo = EvalMemo()
+    reports = []
+    for site in sites:
+        shared = select_package("p", units, site, empty_state(), extra_filters=filters, memo=memo)
+        fresh = select_package("p", units, site, empty_state(), extra_filters=filters)
+        assert shared.to_json() == fresh.to_json()
+        reports.append({c.unit_id: c for c in shared.candidates})
+    return reports
+
+
+def outcome_json(candidate):
+    return candidate.constraint_outcome.to_json()
+
+
+class TestMemoKeys:
+    def test_integer_and_boolean_never_share(self):
+        units = [
+            make_unit("one", product="p", constraints=["tier = 1"]),
+            make_unit("true", product="p", constraints=["tier = true"]),
+        ]
+        values = (1, True, True, 1)
+        reports = shared_and_fresh(units, [make_site({"tier": v}) for v in values])
+        for report, value in zip(reports, values):
+            ok, bad = ("one", "true") if type(value) is int else ("true", "one")
+            assert report[ok].constraint_outcome.is_satisfied
+            clause = {"one": "tier = 1", "true": "tier = true"}[bad]
+            assert outcome_json(report[bad]) == {
+                "status": "VIOLATED",
+                "reasons": [{"clause": clause, "code": "TYPE_MISMATCH"}],
+            }
+
+    def test_padded_equal_versions_print_their_own_reason(self):
+        units = [
+            make_unit("short", product="p", constraints=["v >= 1.0"]),
+            make_unit("long", product="p", constraints=["v >= 1.0.0"]),
+        ]
+        sites = [make_site({"v": Version.parse(t)}) for t in ("0.9", "1.0", "1.0.0", "0.9.0")]
+        reports = shared_and_fresh(units, sites)
+        for report in (reports[0], reports[3]):
+            assert outcome_json(report["short"])["reasons"] == [
+                {"clause": "v >= 1.0", "code": "FALSE_CLAUSE"}
+            ]
+            assert outcome_json(report["long"])["reasons"] == [
+                {"clause": "v >= 1.0.0", "code": "FALSE_CLAUSE"}
+            ]
+        for report in reports[1:3]:
+            assert all(c.admissible for c in report.values())
+
+    def test_exists_tells_missing_from_present(self):
+        units = [make_unit("u", product="p", constraints=["exists(x)"])]
+        sites = [make_site({"x": 1}), make_site({}), make_site({"x": "y"}), make_site({})]
+        statuses = [r["u"].constraint_outcome.status for r in shared_and_fresh(units, sites)]
+        assert statuses == [Status.SATISFIED, Status.VIOLATED, Status.SATISFIED, Status.VIOLATED]
+
+    def test_two_footprints_on_one_site_get_their_own_standing(self):
+        units = [
+            make_unit("small", product="p", footprint="500MB"),
+            make_unit("large", product="p", footprint="1500MB"),
+        ]
+        site = make_site({"disk.free": Size.parse("2GB")}, ("disk.free >= 1GB",))
+        (report,) = shared_and_fresh(units, [site])
+        assert report["small"].standing[0].outcome.is_satisfied
+        assert report["large"].standing[0].outcome.status is Status.VIOLATED
+        assert report["large"].reasons == ("STANDING_VIOLATED",)
+
+    def test_shared_fragments_are_one_object(self):
+        units = [make_unit(f"u{i}", product="p", constraints=['os = "linux"']) for i in range(3)]
+        sites = [make_site({"os": "linux", "disk.free": Size(10**9)}, ("disk.free >= 1MB",))] * 2
+        reports = shared_and_fresh(units, sites)
+        fragments = [outcome_json(r[uid]) for r in reports for uid in r]
+        standing = [r[uid].standing[0].to_json() for r in reports for uid in r]
+        assert all(f is fragments[0] for f in fragments)
+        assert all(s is standing[0] for s in standing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sites=st.integers(1, 8))
+def test_a_push_wide_memo_reports_as_a_fresh_memo_per_site(seed, n_sites):
+    rng = random.Random(seed)
+    units, _, _, _ = random_instance(rng)
+    sites = [random_instance(rng)[1] for _ in range(n_sites)]
+    filters = tuple(rng.sample(['channel = "stable"', "exists(channel)", "tier = 1"], rng.randrange(3)))
+    shared_and_fresh(units, sites, filters)

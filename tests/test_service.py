@@ -320,6 +320,27 @@ class TestDeepDefaultVerify:
         }
 
 
+ILL_TYPED_STEPS = {
+    "verify-expr-integer": ({"act": "verify", "expr": 5}, "USAGE"),
+    "verify-expr-unparsable": ({"act": "verify", "expr": "os ="}, "SYNTAX"),
+    "transfer-resource-array": ({"act": "transfer", "resource": ["r0"]}, "USAGE"),
+    "copy-to-null": ({"act": "copy", "from": "a", "to": None}, "USAGE"),
+    "configure-params-text": ({"act": "configure", "params": "k=v"}, "USAGE"),
+    "update-unit-integer": ({"act": "update", "unit": 7}, "USAGE"),
+}
+
+
+@pytest.mark.parametrize("step, code", ILL_TYPED_STEPS.values(), ids=list(ILL_TYPED_STEPS))
+def test_publish_refuses_an_ill_typed_activity_and_writes_nothing(store, step, code):
+    engine = svc.LocalEngine(store)
+    manifest = dict(editor_manifest(), process={"seq": [{"act": "install"}, step]})
+    before = stat_snapshot(store)
+    resp = engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})
+    assert resp["error"]["code"] == code
+    assert stat_snapshot(store) == before
+    assert not engine.universe.catalog.get("srv1")
+
+
 def sized_manifest(points, default):
     """An editor unit whose process has exactly ``points`` progress points:
     the default template (transfers, install, verify, activate) or a given

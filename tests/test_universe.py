@@ -137,6 +137,14 @@ ILL_SHAPED = [
     ("catalog/srv1/u-1.json", ("provides",), [1]),
     ("catalog/srv1/u-1.json", ("version",), 1),
     ("catalog/srv1/u-1.json", ("constraints",), ["os ="]),
+    # Activity parameters of a stored process: each must have its JSON type,
+    # and a verify's expression must parse.
+    (RECORD, ("process", "root", "seq", 0), {"act": "verify", "expr": 5}),
+    (RECORD, ("process", "root", "seq", 0), {"act": "verify", "expr": "os ="}),
+    (RECORD, ("process", "root", "seq", 0), {"act": "transfer", "resource": ["r"]}),
+    ("catalog/srv1/u-1.json", ("process",), {"act": "copy", "from": "a", "to": None}),
+    ("catalog/srv1/u-1.json", ("process",), {"act": "configure", "params": "x"}),
+    ("catalog/srv1/u-1.json", ("process",), {"act": "update", "unit": 1}),
     ("enterprise.json", (), []),
     ("enterprise.json", ("machines",), [1]),
     ("enterprise.json", ("machines", 0, "id"), []),
