@@ -17,6 +17,7 @@ from .errors import (
     PropertyTypeChangeError,
     UnknownTargetError,
 )
+from .process import PRESENT, LifecycleState
 from .values import (
     PropertyValue,
     Size,
@@ -87,7 +88,7 @@ class DeployedUnit:
     unit_id: str
     product_id: str
     version: Version
-    state: str  # LifecycleState value, kept as text to avoid an import cycle
+    state: LifecycleState
     footprint: Size = Size(0)
     provides: tuple[tuple[str, Version], ...] = ()
     requires: tuple[tuple[str, Version], ...] = ()
@@ -114,7 +115,7 @@ def derive_products(units) -> tuple[str, ...]:
     """Products present on a site: those with >= 1 installed/active unit."""
     seen = []
     for u in units:
-        if u.state in ("INSTALLED", "ACTIVE") and u.product_id not in seen:
+        if u.state in PRESENT and u.product_id not in seen:
             seen.append(u.product_id)
     return tuple(sorted(seen))
 
@@ -406,7 +407,7 @@ def deployed_unit_from_json(d: dict) -> DeployedUnit:
         unit_id=expect(d["unit"], str, "unit id"),
         product_id=expect(d["product"], str, "unit product"),
         version=Version.parse(d["version"]),
-        state=d["state"],
+        state=LifecycleState(d["state"]),
         footprint=size_from_json(d["footprint"]),
         provides=tuple(
             (expect(p["name"], str, "provided name"), Version.parse(p["version"]))

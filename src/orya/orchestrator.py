@@ -21,6 +21,7 @@ from .errors import (
 from .expr import EvalMemo, Status
 from .model import ChangeEvent, DeployedUnit, Machine, resolve_targets
 from .process import (
+    PRESENT,
     Activity,
     ActivityKind,
     ExecutionContext,
@@ -199,6 +200,13 @@ def _site_view(handle) -> Machine:
     return handle.machine
 
 
+# The outcome of a site whose process failed; each op names its own success.
+_STATUS_OUTCOME = {
+    TraceStatus.ROLLED_BACK: "ROLLED_BACK",
+    TraceStatus.PARTIALLY_ROLLED_BACK: "FAILED",
+}
+
+
 def _run_process(
     u: Universe,
     fleet,
@@ -207,12 +215,16 @@ def _run_process(
     process: ProcessDef,
     mode: DeployMode,
     units_by_id,
+    success: str,
     result_unit_id: str | None = None,
-) -> tuple[Universe, DeploymentRecord]:
+    **fields,
+) -> tuple[Universe, SiteOutcome]:
     """Execute one process on one site, commit site state, append the record.
 
     ``unit`` is the catalog unit a deployment places, or the site's deployed
-    unit for undeploy, activation and update, which read only its ids."""
+    unit for undeploy, activation and update, which read only its ids. The
+    site's outcome is ``success`` when the trace succeeded, else the label
+    of its failure status; ``fields`` are the outcome's other report fields."""
     handle = fleet.sites[site_id]
     executor = BrokeredExecutor(handle, _make_fetcher(u, fleet), units_by_id)
     deployment_id = u.next_deployment_id()
@@ -241,14 +253,8 @@ def _run_process(
         finished_at=finished,
     )
     u = record_deployment(u, record)
-    return u, record
-
-
-_STATUS_OUTCOME = {
-    TraceStatus.SUCCESS: "DEPLOYED",
-    TraceStatus.ROLLED_BACK: "ROLLED_BACK",
-    TraceStatus.PARTIALLY_ROLLED_BACK: "FAILED",
-}
+    outcome = success if trace.status is TraceStatus.SUCCESS else _STATUS_OUTCOME[trace.status]
+    return u, SiteOutcome(site_id, outcome, unit_id=record.unit_id, record_id=record.id, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +283,7 @@ def push_deploy(u: Universe, req: DeployRequest, fleet) -> tuple[Universe, Fleet
     entries: list[SiteOutcome] = []
     for site_id in sorted(targets):
         try:
-            entry, u = _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo)
+            u, entry = _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo)
         except Exception as err:  # per-site isolation: never abort the loop
             entry = SiteOutcome(site_id, "FAILED", reason=str(err))
         entries.append(entry)
@@ -290,12 +296,10 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo):
     state = handle.get_state()
     # Push deployment is idempotent per unit: units already on the site are
     # not candidates again, and a site holding every candidate is skipped.
-    present = {
-        du.unit_id for du in state.deployed_units if du.state != LifecycleState.REMOVED.value
-    }
+    present = {du.unit_id for du in state.deployed_units if du.state != LifecycleState.REMOVED}
     candidates = [units_by_id[k] for k in sorted(units_by_id) if k not in present]
     if not candidates:
-        return SiteOutcome(site_id, "SKIPPED", reason="ALREADY_DEPLOYED"), u
+        return u, SiteOutcome(site_id, "SKIPPED", reason="ALREADY_DEPLOYED")
     sel = select_package(
         req.product_id,
         candidates,
@@ -306,9 +310,9 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo):
         memo=memo,
     )
     if sel.chosen is None:
-        return SiteOutcome(site_id, "SKIPPED", reason="NO_ADMISSIBLE", selection=sel), u
+        return u, SiteOutcome(site_id, "SKIPPED", reason="NO_ADMISSIBLE", selection=sel)
     if req.dry_run:
-        return SiteOutcome(site_id, "WOULD_DEPLOY", unit_id=sel.chosen, selection=sel), u
+        return u, SiteOutcome(site_id, "WOULD_DEPLOY", unit_id=sel.chosen, selection=sel)
 
     unit = units_by_id[sel.chosen]
     if unit.id not in processes:
@@ -316,14 +320,9 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo):
         processes[unit.id] = process if validate_process(process).ok else None
     process = processes[unit.id]
     if process is None:
-        return SiteOutcome(site_id, "FAILED", reason="INVALID_PROCESS", selection=sel), u
-    u, record = _run_process(u, fleet, site_id, unit, process, req.mode, units_by_id)
-    outcome = _STATUS_OUTCOME[record.trace.status]
-    return (
-        SiteOutcome(
-            site_id, outcome, unit_id=sel.chosen, record_id=record.id, selection=sel
-        ),
-        u,
+        return u, SiteOutcome(site_id, "FAILED", reason="INVALID_PROCESS", selection=sel)
+    return _run_process(
+        u, fleet, site_id, unit, process, req.mode, units_by_id, "DEPLOYED", selection=sel
     )
 
 
@@ -353,7 +352,7 @@ def pull_update(
         (
             du
             for du in state.deployed_units
-            if du.product_id == product_id and du.state in ("INSTALLED", "ACTIVE")
+            if du.product_id == product_id and du.state in PRESENT
         ),
         None,
     )
@@ -379,17 +378,18 @@ def pull_update(
         entry = SiteOutcome(site_id, "SKIPPED", reason="UP_TO_DATE", selection=sel)
         return u, FleetReport((entry,))
 
-    u, record = _apply_update(u, fleet, site_id, current, newer[sel.chosen], DeployMode.PULL, units_by_id)
-    outcome = "UPDATED" if record.trace.status is TraceStatus.SUCCESS else _STATUS_OUTCOME[record.trace.status]
-    entry = SiteOutcome(
-        site_id, outcome, unit_id=sel.chosen, record_id=record.id, selection=sel
+    u, entry = _apply_update(
+        u, fleet, site_id, current, newer[sel.chosen], DeployMode.PULL, units_by_id, "UPDATED",
+        selection=sel,
     )
     return u, FleetReport((entry,))
 
 
-def _apply_update(u, fleet, site_id, current: DeployedUnit, new_unit: PackagedUnit, mode, units_by_id):
+def _apply_update(
+    u, fleet, site_id, current: DeployedUnit, new_unit: PackagedUnit, mode, units_by_id, success, **fields
+):
     steps = [Activity.make(ActivityKind.UPDATE, unit=new_unit.id)]
-    if current.state == LifecycleState.ACTIVE.value:
+    if current.state == LifecycleState.ACTIVE:
         steps = (
             [Activity.make(ActivityKind.DEACTIVATE)]
             + steps
@@ -397,7 +397,10 @@ def _apply_update(u, fleet, site_id, current: DeployedUnit, new_unit: PackagedUn
         )
     process = ProcessDef(id=f"{current.unit_id}.update", root=Seq(tuple(steps)))
     # ctx.unit is the unit currently on site; the update activity swaps it.
-    return _run_process(u, fleet, site_id, current, process, mode, units_by_id, result_unit_id=new_unit.id)
+    return _run_process(
+        u, fleet, site_id, current, process, mode, units_by_id, success,
+        result_unit_id=new_unit.id, **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +433,7 @@ def on_property_change(
 
     actions: list[PlanAction] = []
     for du in state.deployed_units:
-        if du.state not in ("INSTALLED", "ACTIVE"):
+        if du.state not in PRESENT:
             continue
         reasons: list[str] = []
         for text in du.constraints:
@@ -453,7 +456,7 @@ def on_property_change(
                 replacement = sel.chosen
         if replacement is not None:
             actions.append(PlanAction(du.unit_id, "RESELECT", replacement, tuple(reasons)))
-        elif du.state == LifecycleState.ACTIVE.value:
+        elif du.state == LifecycleState.ACTIVE:
             actions.append(PlanAction(du.unit_id, "DEACTIVATE", reasons=tuple(reasons)))
         else:
             actions.append(PlanAction(du.unit_id, "NONE", reasons=tuple(reasons)))
@@ -477,14 +480,10 @@ def apply_reconfiguration(u: Universe, plan: ReconfigurationPlan, fleet) -> tupl
         if action.action == "RESELECT":
             units_by_id = _catalog_candidates(u, du.product_id)
             new_unit = units_by_id[action.replacement]
-            u, record = _apply_update(u, fleet, site_id, du, new_unit, DeployMode.RECONFIGURE, units_by_id)
-            outcome = (
-                "RECONFIGURED" if record.trace.status is TraceStatus.SUCCESS
-                else _STATUS_OUTCOME[record.trace.status]
+            u, entry = _apply_update(
+                u, fleet, site_id, du, new_unit, DeployMode.RECONFIGURE, units_by_id, "RECONFIGURED"
             )
-            entries.append(
-                SiteOutcome(site_id, outcome, unit_id=action.replacement, record_id=record.id)
-            )
+            entries.append(entry)
         elif action.action == "DEACTIVATE":
             u, entry = _single_transition(
                 u, fleet, site_id, du, ActivityKind.DEACTIVATE, DeployMode.RECONFIGURE
@@ -499,51 +498,45 @@ def apply_reconfiguration(u: Universe, plan: ReconfigurationPlan, fleet) -> tupl
 # Removal, activation, deactivation
 
 
+def _deployed_unit(state, unit_id: str) -> DeployedUnit:
+    """The unit ``unit_id`` on the site whose state is ``state``."""
+    du = next((d for d in state.deployed_units if d.unit_id == unit_id), None)
+    if du is None:
+        raise UnknownUnitError(f"unit {unit_id!r} is not deployed on {state.machine_id!r}")
+    return du
+
+
 def undeploy(
     u: Universe, site_id: str, unit_id: str, fleet, force: bool = False
 ) -> tuple[Universe, FleetReport]:
-    handle = fleet.sites[site_id]
-    state = handle.get_state()
-    du = next((d for d in state.deployed_units if d.unit_id == unit_id), None)
-    if du is None:
-        raise UnknownUnitError(f"unit {unit_id!r} is not deployed on {site_id!r}")
-
-    conflicts = check_removal_safety(state, state.deployed_units, unit_id)
+    state = fleet.sites[site_id].get_state()
+    du = _deployed_unit(state, unit_id)
+    conflicts = tuple(check_removal_safety(state.deployed_units, unit_id))
     if blocking_conflicts(conflicts) and not force:
         entry = SiteOutcome(
-            site_id, "SKIPPED", reason="UNSAFE_REMOVAL", unit_id=unit_id,
-            conflicts=tuple(conflicts),
+            site_id, "SKIPPED", reason="UNSAFE_REMOVAL", unit_id=unit_id, conflicts=conflicts
         )
         return u, FleetReport((entry,))
 
     steps = [Activity.make(ActivityKind.UNINSTALL)]
-    if du.state == LifecycleState.ACTIVE.value:
+    if du.state == LifecycleState.ACTIVE:
         steps.insert(0, Activity.make(ActivityKind.DEACTIVATE))
     process = ProcessDef(id=f"{unit_id}.uninstall", root=Seq(tuple(steps)))
-    units_by_id = _catalog_candidates(u, du.product_id)
-    u, record = _run_process(u, fleet, site_id, du, process, DeployMode.PUSH, units_by_id)
-    outcome = "REMOVED" if record.trace.status is TraceStatus.SUCCESS else _STATUS_OUTCOME[record.trace.status]
-    entry = SiteOutcome(
-        site_id, outcome, unit_id=unit_id, record_id=record.id,
-        conflicts=tuple(conflicts) if force else (),
+    u, entry = _run_process(
+        u, fleet, site_id, du, process, DeployMode.PUSH, {}, "REMOVED",
+        conflicts=conflicts if force else (),
     )
     return u, FleetReport((entry,))
 
 
 def _single_transition(u, fleet, site_id, du: DeployedUnit, kind: ActivityKind, mode: DeployMode):
     try:
-        transition(LifecycleState(du.state), kind)
-    except IllegalTransitionError as err:
-        return u, SiteOutcome(
-            site_id, "SKIPPED", reason="ILLEGAL_TRANSITION", unit_id=du.unit_id
-        )
+        transition(du.state, kind)
+    except IllegalTransitionError:
+        return u, SiteOutcome(site_id, "SKIPPED", reason="ILLEGAL_TRANSITION", unit_id=du.unit_id)
     process = ProcessDef(id=f"{du.unit_id}.{kind.value}", root=Seq((Activity.make(kind),)))
-    u, record = _run_process(u, fleet, site_id, du, process, mode, {})
-    if record.trace.status is TraceStatus.SUCCESS:
-        outcome = "ACTIVATED" if kind is ActivityKind.ACTIVATE else "DEACTIVATED"
-    else:
-        outcome = _STATUS_OUTCOME[record.trace.status]
-    return u, SiteOutcome(site_id, outcome, unit_id=du.unit_id, record_id=record.id)
+    success = "ACTIVATED" if kind is ActivityKind.ACTIVATE else "DEACTIVATED"
+    return _run_process(u, fleet, site_id, du, process, mode, {}, success)
 
 
 def activate(u: Universe, site_id: str, unit_id: str, fleet) -> tuple[Universe, FleetReport]:
@@ -555,11 +548,7 @@ def deactivate(u: Universe, site_id: str, unit_id: str, fleet) -> tuple[Universe
 
 
 def _activation(u, site_id, unit_id, fleet, kind):
-    handle = fleet.sites[site_id]
-    state = handle.get_state()
-    du = next((d for d in state.deployed_units if d.unit_id == unit_id), None)
-    if du is None:
-        raise UnknownUnitError(f"unit {unit_id!r} is not deployed on {site_id!r}")
+    du = _deployed_unit(fleet.sites[site_id].get_state(), unit_id)
     u, entry = _single_transition(u, fleet, site_id, du, kind, DeployMode.PUSH)
     return u, FleetReport((entry,))
 

@@ -33,6 +33,10 @@ class LifecycleState(str, Enum):
     REMOVED = "REMOVED"
 
 
+# The states in which a unit is present on its site.
+PRESENT = (LifecycleState.INSTALLED, LifecycleState.ACTIVE)
+
+
 class ActivityKind(str, Enum):
     TRANSFER = "transfer"
     COPY = "copy"

@@ -55,7 +55,7 @@ def _provides_of(units) -> list[tuple[str, Version]]:
     return pairs
 
 
-def check_safety(state, installed_units, candidate, policy: SafetyPolicy) -> list[Conflict]:
+def check_safety(installed_units, candidate, policy: SafetyPolicy) -> list[Conflict]:
     """Conflicts raised by installing ``candidate`` next to ``installed_units``.
 
     OVERWRITE: same component name provided at a different version. Under
@@ -109,7 +109,7 @@ def check_safety(state, installed_units, candidate, policy: SafetyPolicy) -> lis
     return conflicts
 
 
-def check_removal_safety(state, installed_units, removing: str) -> list[Conflict]:
+def check_removal_safety(installed_units, removing: str) -> list[Conflict]:
     """STILL_REQUIRED conflicts for removing one installed unit.
 
     A component is still required when some remaining unit's requirement was

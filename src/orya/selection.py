@@ -16,7 +16,6 @@ are never ``Expression`` equality or bare value equality: ``1 == True`` and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .expr import EvalMemo, EvalOutcome, StandingCheck, Status, check_standing
@@ -61,15 +60,6 @@ class SelectionReport:
             "rationale": self.rationale,
             "candidates": [c.to_json() for c in self.candidates],
         }
-
-
-def _candidate_order(a, b) -> int:
-    """Highest version first, then smallest footprint, then smallest id."""
-    if a.product_version != b.product_version:
-        return -1 if a.product_version > b.product_version else 1
-    if a.footprint != b.footprint:
-        return -1 if a.footprint < b.footprint else 1
-    return -1 if a.id < b.id else (1 if a.id > b.id else 0)
 
 
 def select_package(
@@ -136,7 +126,7 @@ def select_package(
                 reasons.append("STANDING_UNKNOWN")
                 break
 
-        conflicts = tuple(check_safety(state, installed, unit, policy))
+        conflicts = tuple(check_safety(installed, unit, policy))
         if blocking_conflicts(conflicts):
             reasons.append("SAFETY_CONFLICT")
 
@@ -155,9 +145,12 @@ def select_package(
         if admissible:
             admissible_units.append(unit)
 
-    admissible_units.sort(key=functools.cmp_to_key(_candidate_order))
     if admissible_units:
-        chosen = admissible_units[0]
+        top = max(unit.product_version for unit in admissible_units)
+        chosen = min(
+            (unit for unit in admissible_units if unit.product_version == top),
+            key=lambda unit: (unit.footprint.count, unit.id),
+        )
         rationale = (
             f"chose {chosen.id}: version {chosen.product_version}, "
             f"footprint {chosen.footprint} among {len(admissible_units)} admissible"

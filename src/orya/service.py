@@ -41,6 +41,11 @@ POSITIVE_OUTCOMES = {
     "RECONFIGURED",
 }
 
+# The longest request line the service reads, in bytes. A longer line is
+# discarded up to its newline and answered USAGE, so one endless line cannot
+# grow the service's memory without bound.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
 # Errors that are the operator's problem (bad store, bad usage) exit 2;
 # everything else is a domain refusal and exits 1.
 USAGE_ERROR_CODES = {"CORRUPT", "LOCKED", "USAGE", "SYNTAX", "ERROR"}
@@ -144,34 +149,24 @@ class LocalEngine:
         return _report_response(report)
 
     def op_pull(self, req):
-        fleet = self._fleet(self.universe)
-        u, report = orch.pull_update(
-            self.universe,
-            req["site"],
-            req["product"],
-            fleet,
-            policy=SafetyPolicy(req.get("policy", "reject")),
-        )
-        self._commit(u, fleet)
-        return _report_response(report)
+        policy = SafetyPolicy(req.get("policy", "reject"))
+        return self._site_op(orch.pull_update, req["site"], req["product"], policy=policy)
 
     def op_undeploy(self, req):
-        fleet = self._fleet(self.universe)
-        u, report = orch.undeploy(
-            self.universe, req["site"], req["unit"], fleet, force=bool(req.get("force", False))
-        )
-        self._commit(u, fleet)
-        return _report_response(report)
+        force = bool(req.get("force", False))
+        return self._site_op(orch.undeploy, req["site"], req["unit"], force=force)
 
     def op_activate(self, req):
-        return self._activation(req, orch.activate)
+        return self._site_op(orch.activate, req["site"], req["unit"])
 
     def op_deactivate(self, req):
-        return self._activation(req, orch.deactivate)
+        return self._site_op(orch.deactivate, req["site"], req["unit"])
 
-    def _activation(self, req, fn):
+    def _site_op(self, fn, site, target, **options):
+        """``fn`` over one site's ``target`` (a product or unit) on a fresh
+        fleet, committed."""
         fleet = self._fleet(self.universe)
-        u, report = fn(self.universe, req["site"], req["unit"], fleet)
+        u, report = fn(self.universe, site, target, fleet, **options)
         self._commit(u, fleet)
         return _report_response(report)
 
@@ -238,10 +233,15 @@ def _parse_addr(addr: str):
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            # A line that is not UTF-8, not JSON, or nested past the decoder's
-            # recursion limit gets a USAGE answer, and an unexpected fault in
-            # the op a last-resort INTERNAL; the connection stays open.
+        while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            # A line that is too long, not UTF-8, not JSON, or nested past the
+            # decoder's recursion limit gets a USAGE answer, and an unexpected
+            # fault in the op a last-resort INTERNAL; the connection stays open.
+            if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                while (rest := self.rfile.readline(MAX_REQUEST_BYTES + 1)) and not rest.endswith(b"\n"):
+                    pass
+                self._answer(_error("USAGE", f"request line longer than {MAX_REQUEST_BYTES} bytes"))
+                continue
             try:
                 line = raw.decode().strip()
                 if not line:
@@ -258,8 +258,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
                         traceback.print_exc()
                         resp = _error("INTERNAL", f"{type(err).__name__}: {err}")
-            self.wfile.write((json.dumps(resp, sort_keys=True) + "\n").encode())
-            self.wfile.flush()
+            self._answer(resp)
+
+    def _answer(self, resp: dict) -> None:
+        self.wfile.write((json.dumps(resp, sort_keys=True) + "\n").encode())
+        self.wfile.flush()
 
 
 class ServiceServer:

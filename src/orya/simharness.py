@@ -112,7 +112,7 @@ def _deployed(unit: PackagedUnit, state: LifecycleState) -> DeployedUnit:
         unit_id=unit.id,
         product_id=unit.product_id,
         version=unit.product_version,
-        state=state.value,
+        state=state,
         footprint=unit.footprint,
         provides=unit.provides,
         requires=unit.requires,
@@ -122,7 +122,7 @@ def _deployed(unit: PackagedUnit, state: LifecycleState) -> DeployedUnit:
 
 def _moved(entry: DeployedUnit | None, unit: PackagedUnit, state: LifecycleState) -> DeployedUnit:
     """``entry`` in ``state``, or ``unit`` newly placed on the site in ``state``."""
-    return replace(entry, state=state.value) if entry else _deployed(unit, state)
+    return replace(entry, state=state) if entry else _deployed(unit, state)
 
 
 class SimulatedSite:
@@ -213,7 +213,7 @@ class SimulatedSite:
         self._check_fault(path, kind)
 
         entry = self.units.get(unit_id)
-        state = LifecycleState(entry.state) if entry else LifecycleState.ABSENT
+        state = entry.state if entry else LifecycleState.ABSENT
         new_state = transition(state, kind)  # raises IllegalTransitionError
 
         if kind is ActivityKind.TRANSFER:
@@ -241,7 +241,7 @@ class SimulatedSite:
             }
 
         if kind in (ActivityKind.ACTIVATE, ActivityKind.DEACTIVATE):
-            self.units[unit_id] = replace(entry, state=new_state.value)
+            self.units[unit_id] = replace(entry, state=new_state)
             return {"kind": kind.value, "unit": unit_id, "prior": entry.state}
 
         if kind is ActivityKind.CONFIGURE:
@@ -320,7 +320,7 @@ class SimulatedSite:
             if token["created"]:
                 self.units.pop(unit_id, None)
             elif entry is not None:
-                self.units[unit_id] = replace(entry, state=LifecycleState.STAGED.value)
+                self.units[unit_id] = replace(entry, state=LifecycleState.STAGED)
             return
         if kind is ActivityKind.ACTIVATE or kind is ActivityKind.DEACTIVATE:
             entry = self.units.get(token["unit"])
@@ -570,7 +570,7 @@ def _judge(clause: dict, u, fleet, responses) -> ExpectResult:
     if kind == "lifecycle":
         site = fleet.sites.get(clause["site"])
         unit = site.units.get(clause["unit"]) if site else None
-        actual = unit.state if unit else "ABSENT"
+        actual = unit.state.value if unit else "ABSENT"
         ok = actual == clause["state"]
         return ExpectResult(clause, ok, f"actual state {actual}")
     if kind == "outcome":

@@ -61,6 +61,7 @@ from .model import (
 )
 from .process import (
     MAX_PROGRESS_POINTS,
+    PRESENT,
     ExecutionTrace,
     ProcessDef,
     default_process_for,
@@ -224,7 +225,7 @@ def cross_validate(u: Universe) -> None:
         ids = [du.unit_id for du in state.deployed_units]
         if len(ids) != len(set(ids)):
             raise StoreCorruptError(f"sites/{site}", "duplicate deployed unit ids")
-        contributing = {du.product_id for du in state.deployed_units if du.state in ("INSTALLED", "ACTIVE")}
+        contributing = {du.product_id for du in state.deployed_units if du.state in PRESENT}
         for product in state.products:
             if product not in contributing:
                 raise StoreCorruptError(f"sites/{site}", f"product {product!r} has no deployed unit")

@@ -8,10 +8,9 @@ type mismatches by the evaluator.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_.]*$")
@@ -22,16 +21,22 @@ SIZE_RE = re.compile(r"^(\d+)(B|KB|MB|GB)$")
 SIZE_UNITS = {"B": 1, "KB": 10**3, "MB": 10**6, "GB": 10**9}
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class Version:
-    """Dotted-integer version. Missing trailing components compare as 0."""
+    """Dotted-integer version. Missing trailing components compare as 0: the
+    order, equality and hash read only ``key``, the parts without trailing
+    zeros."""
 
-    parts: tuple[int, ...]
+    parts: tuple[int, ...] = field(compare=False)
+    key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.parts or any(p < 0 for p in self.parts):
             raise ValueError(f"invalid version parts: {self.parts!r}")
+        key = self.parts
+        while key and key[-1] == 0:
+            key = key[:-1]
+        object.__setattr__(self, "key", key)
 
     @classmethod
     def parse(cls, text: str) -> "Version":
@@ -39,33 +44,11 @@ class Version:
             raise ValueError(f"invalid version: {text!r}")
         return cls(tuple(int(p) for p in text.split(".")))
 
-    def _padded(self, width: int) -> tuple[int, ...]:
-        return self.parts + (0,) * (width - len(self.parts))
-
-    def __eq__(self, other):
-        if not isinstance(other, Version):
-            return NotImplemented
-        width = max(len(self.parts), len(other.parts))
-        return self._padded(width) == other._padded(width)
-
-    def __lt__(self, other):
-        if not isinstance(other, Version):
-            return NotImplemented
-        width = max(len(self.parts), len(other.parts))
-        return self._padded(width) < other._padded(width)
-
-    def __hash__(self):
-        parts = self.parts
-        while len(parts) > 1 and parts[-1] == 0:
-            parts = parts[:-1]
-        return hash(parts)
-
     def __str__(self):
         return ".".join(str(p) for p in self.parts)
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class Size:
     """A byte count, canonicalized to an integer number of bytes."""
 
@@ -81,19 +64,6 @@ class Size:
         if not m:
             raise ValueError(f"invalid size: {text!r}")
         return cls(int(m.group(1)) * SIZE_UNITS[m.group(2)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Size):
-            return NotImplemented
-        return self.count == other.count
-
-    def __lt__(self, other):
-        if not isinstance(other, Size):
-            return NotImplemented
-        return self.count < other.count
-
-    def __hash__(self):
-        return hash(("size", self.count))
 
     def __str__(self):
         for unit in ("GB", "MB", "KB"):

@@ -9,7 +9,7 @@ from conftest import make_enterprise, make_unit
 from orya import expr as expr_mod
 from orya import orchestrator as orch
 from orya.errors import NotDeployedError, UnknownProductError, UnknownUnitError
-from orya.process import Activity, ActivityKind, ProcessDef, Seq
+from orya.process import Activity, ActivityKind, ProcessDef, Seq, StepOutcome
 from orya.safety import ConflictKind
 from orya.simharness import Fault, build_fleet, inject
 from orya.universe import empty_universe, publish_unit, universe_digest
@@ -463,6 +463,77 @@ class TestActivation:
         assert report.entries[0].outcome == "DEACTIVATED"
         u, report = orch.activate(u, "s1", "ed-1.0", fleet)
         assert report.entries[0].outcome == "ACTIVATED"
+
+
+def unpushed():
+    u = make_universe({"s1": (LINUX, ())}, [("srv1", linux_unit())])
+    return u, build_fleet(u)
+
+
+def pushed(*published):
+    """s1 holding ed-1.0 ACTIVE, with ``published`` units added to the catalog
+    after the push."""
+    u = make_universe({"s1": ({**LINUX, "ram": 16}, ())}, [("srv1", linux_unit(constraints=["ram >= 8"]))])
+    fleet = build_fleet(u)
+    u, _ = deploy(u, fleet)
+    for unit in published:
+        u = publish_unit(u, "srv1", unit)
+    return u, fleet
+
+
+def deactivated():
+    u, fleet = pushed()
+    u, _ = orch.deactivate(u, "s1", "ed-1.0", fleet)
+    return u, fleet
+
+
+def reconfigured(u, fleet):
+    event = fleet.sites["s1"].set_property("ram", 4)
+    return orch.on_property_change(u, "s1", event, fleet, apply=True)
+
+
+# Each site op: its setup, the op, the label it reports when its process
+# succeeds, and the kind of its process's last step.
+SITE_OPS = {
+    "push": (unpushed, deploy, "DEPLOYED", "activate"),
+    "pull": (
+        lambda: pushed(linux_unit("ed-2.0", version="2.0")),
+        lambda u, fleet: orch.pull_update(u, "s1", "editor", fleet), "UPDATED", "activate",
+    ),
+    "reconfigure": (
+        lambda: pushed(linux_unit("ed-lite-0.9", version="0.9", constraints=[])),
+        reconfigured, "RECONFIGURED", "activate",
+    ),
+    "undeploy": (
+        pushed, lambda u, fleet: orch.undeploy(u, "s1", "ed-1.0", fleet), "REMOVED", "uninstall",
+    ),
+    "activate": (
+        deactivated, lambda u, fleet: orch.activate(u, "s1", "ed-1.0", fleet), "ACTIVATED", "activate",
+    ),
+    "deactivate": (
+        pushed, lambda u, fleet: orch.deactivate(u, "s1", "ed-1.0", fleet), "DEACTIVATED", "deactivate",
+    ),
+}
+
+
+class TestOutcomeLabels:
+    @pytest.mark.parametrize("fault", [False, True], ids=["done", "fault"])
+    @pytest.mark.parametrize("op", sorted(SITE_OPS))
+    def test_every_site_op_labels_its_outcome(self, op, fault):
+        """Done, the op reports its own label; failed at its last step, it
+        rolls back. Either way the entry names the record it appended."""
+        setup, run, label, last = SITE_OPS[op]
+        u, fleet = setup()
+        if fault:
+            inject(fleet, [Fault(site_id="s1", match=last)])
+        record_id = u.next_deployment_id()
+        u, report = run(u, fleet)
+        (entry,) = report.entries
+        assert (entry.outcome, entry.record_id) == ("ROLLED_BACK" if fault else label, record_id)
+        record = u.deployments[record_id]
+        assert entry.unit_id == record.unit_id
+        failed = [e.path for e in record.trace.events if e.outcome is StepOutcome.FAILED]
+        assert failed == ([f"root.{len(record.process.root.steps) - 1}"] if fault else [])
 
 
 class TestStatus:

@@ -28,7 +28,7 @@ def app(min_version, unit_id="app-b", requires_name="libz"):
 
 class TestOverwrite:
     def test_same_name_different_version_blocks_under_reject(self):
-        conflicts = check_safety(None, [lib("1.1")], lib("1.2"), SafetyPolicy.REJECT)
+        conflicts = check_safety([lib("1.1")], lib("1.2"), SafetyPolicy.REJECT)
         assert len(conflicts) == 1
         c = conflicts[0]
         assert c.kind is ConflictKind.OVERWRITE
@@ -36,48 +36,48 @@ class TestOverwrite:
         assert c.blocking
 
     def test_same_version_is_no_conflict(self):
-        assert check_safety(None, [lib("1.1")], lib("1.1", "other-id"), SafetyPolicy.REJECT) == []
+        assert check_safety([lib("1.1")], lib("1.1", "other-id"), SafetyPolicy.REJECT) == []
 
     def test_different_component_names_no_conflict(self):
         other = make_unit("x", product="zlib", version="2.0", provides=[("libq", "2.0")])
-        assert check_safety(None, [lib("1.1")], other, SafetyPolicy.REJECT) == []
+        assert check_safety([lib("1.1")], other, SafetyPolicy.REJECT) == []
 
     def test_force_downgrades_to_warning(self):
-        conflicts = check_safety(None, [lib("1.1")], lib("1.2"), SafetyPolicy.FORCE)
+        conflicts = check_safety([lib("1.1")], lib("1.2"), SafetyPolicy.FORCE)
         assert conflicts and not conflicts[0].blocking
         assert blocking_conflicts(conflicts) == []
 
     def test_shared_highest_warns_when_all_requirers_satisfied(self):
         installed = [lib("1.1"), app("1.1")]
-        conflicts = check_safety(None, installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
+        conflicts = check_safety(installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
         assert conflicts[0].kind is ConflictKind.OVERWRITE
         assert not conflicts[0].blocking
 
     def test_shared_highest_blocks_when_some_requirer_unsatisfied(self):
         # requirer pins min 1.5 but max(1.1, 1.2) = 1.2 < 1.5
         installed = [lib("1.1"), app("1.5")]
-        conflicts = check_safety(None, installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
+        conflicts = check_safety(installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
         assert conflicts[0].blocking
 
     def test_shared_highest_uses_higher_of_the_pair(self):
         # downgrade candidate: max is the installed version, requirers stay fine
         installed = [lib("1.4"), app("1.3")]
-        conflicts = check_safety(None, installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
+        conflicts = check_safety(installed, lib("1.2"), SafetyPolicy.SHARED_HIGHEST)
         assert not conflicts[0].blocking
 
 
 class TestMissingRequirement:
     def test_unsatisfied_requirement_blocks(self):
-        conflicts = check_safety(None, [], app("1.1"), SafetyPolicy.REJECT)
+        conflicts = check_safety([], app("1.1"), SafetyPolicy.REJECT)
         assert conflicts[0].kind is ConflictKind.MISSING_REQ
         assert conflicts[0].blocking
         assert str(conflicts[0].min_version) == "1.1"
 
     def test_installed_provider_satisfies(self):
-        assert check_safety(None, [lib("1.1")], app("1.1"), SafetyPolicy.REJECT) == []
+        assert check_safety([lib("1.1")], app("1.1"), SafetyPolicy.REJECT) == []
 
     def test_older_provider_does_not_satisfy(self):
-        conflicts = check_safety(None, [lib("1.0")], app("1.1"), SafetyPolicy.REJECT)
+        conflicts = check_safety([lib("1.0")], app("1.1"), SafetyPolicy.REJECT)
         assert conflicts[0].kind is ConflictKind.MISSING_REQ
 
     def test_self_provides_satisfy(self):
@@ -88,17 +88,17 @@ class TestMissingRequirement:
             provides=[("libz", "1.2")],
             requires=[("libz", "1.1")],
         )
-        assert check_safety(None, [], bundled, SafetyPolicy.REJECT) == []
+        assert check_safety([], bundled, SafetyPolicy.REJECT) == []
 
     def test_force_downgrades_missing_req(self):
-        conflicts = check_safety(None, [], app("1.1"), SafetyPolicy.FORCE)
+        conflicts = check_safety([], app("1.1"), SafetyPolicy.FORCE)
         assert conflicts and not conflicts[0].blocking
 
 
 class TestRemoval:
     def test_still_required_blocks(self):
         installed = [lib("1.1"), app("1.1")]
-        conflicts = check_removal_safety(None, installed, "libz-1.1")
+        conflicts = check_removal_safety(installed, "libz-1.1")
         assert len(conflicts) == 1
         assert conflicts[0].kind is ConflictKind.STILL_REQUIRED
         assert conflicts[0].name == "libz"
@@ -106,22 +106,22 @@ class TestRemoval:
 
     def test_alternate_provider_unblocks(self):
         installed = [lib("1.1"), lib("1.2"), app("1.1")]
-        assert check_removal_safety(None, installed, "libz-1.1") == []
+        assert check_removal_safety(installed, "libz-1.1") == []
 
     def test_removing_the_requirer_is_safe(self):
         installed = [lib("1.1"), app("1.1")]
-        assert check_removal_safety(None, installed, "app-b") == []
+        assert check_removal_safety(installed, "app-b") == []
 
     def test_requirement_never_satisfied_not_flagged(self):
         # the requirement was already broken before the removal
         installed = [lib("1.0"), app("1.1")]
-        assert check_removal_safety(None, installed, "libz-1.0") == []
+        assert check_removal_safety(installed, "libz-1.0") == []
 
     def test_deduped_per_component(self):
         installed = [lib("1.1"), app("1.1", unit_id="app-b"), app("1.1", unit_id="app-c")]
-        conflicts = check_removal_safety(None, installed, "libz-1.1")
+        conflicts = check_removal_safety(installed, "libz-1.1")
         assert len(conflicts) == 1
 
     def test_unknown_unit_raises(self):
         with pytest.raises(UnknownUnitError):
-            check_removal_safety(None, [lib("1.1")], "ghost")
+            check_removal_safety([lib("1.1")], "ghost")

@@ -40,7 +40,7 @@ def oracle_admissible(unit, site, state, policy, filters=(), freed=0):
         if evaluate(parse_expression(text), props).status is not Status.SATISFIED:
             return False
     installed = list(state.deployed_units) if state else []
-    if blocking_conflicts(check_safety(state, installed, unit, policy)):
+    if blocking_conflicts(check_safety(installed, unit, policy)):
         return False
     return True
 
@@ -150,6 +150,13 @@ class TestRanking:
     def test_id_breaks_full_tie(self):
         units = [make_unit("bbb"), make_unit("aaa")]
         assert select_package("prod", units, make_site(), empty_state()).chosen == "aaa"
+
+    @pytest.mark.parametrize("short, long", [(100, 50), (50, 100)])
+    def test_footprint_breaks_tie_between_padded_equal_versions(self, short, long):
+        """``1`` and ``1.0.0`` are one version, so the smaller footprint wins."""
+        units = [make_unit("a", version="1", footprint=short), make_unit("b", version="1.0.0", footprint=long)]
+        chosen = select_package("prod", units, make_site(), empty_state()).chosen
+        assert chosen == ("a" if short < long else "b")
 
 
 class TestReasons:

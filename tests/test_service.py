@@ -455,6 +455,32 @@ class TestOneAnswerPerLine:
         finally:
             server.shutdown()
 
+    def test_an_over_long_line_is_usage_and_the_connection_keeps_serving(self, store, tmp_path, monkeypatch):
+        monkeypatch.setattr(svc, "MAX_REQUEST_BYTES", 64)
+        ping = json.dumps({"op": "ping"}).encode()
+        too_long = error("USAGE", "request line longer than 64 bytes")
+        server = svc.ServiceServer(store, str(tmp_path / "s.sock"))
+        server.start_background()
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(server.address)
+            f = sock.makefile("rwb")
+            # One byte over the cap, many times the cap, exactly the cap, and
+            # a plain ping, on one connection.
+            for line, answer in (
+                (ping.ljust(65), too_long),
+                (b"[" * 1000, too_long),
+                (ping.ljust(64), {"ok": True, "pong": True}),
+                (ping, {"ok": True, "pong": True}),
+            ):
+                f.write(line + b"\n")
+                f.flush()
+                assert json.loads(f.readline()) == answer
+            f.close()
+            sock.close()
+        finally:
+            server.shutdown()
+
 
 def written_by(engine, req, monkeypatch):
     """The documents ``req`` serialised, checked to be exactly those it created

@@ -13,6 +13,7 @@ from conftest import make_enterprise, make_unit
 from orya import orchestrator as orch
 from orya import simharness
 from orya import universe as universe_mod
+from orya.cli import main
 from orya.errors import (
     DuplicateUnitError,
     StoreCorruptError,
@@ -128,6 +129,8 @@ ILL_SHAPED = [
     (STATE, ("units",), 5),
     (STATE, ("units", 0, "config"), []),
     (STATE, ("products",), [[]]),
+    # A unit's lifecycle state must be a LifecycleState member.
+    *[(STATE, ("units", 0, "state"), value) for value in ("BOGUS", 5, None, [])],
     (RECORD, ("trace",), 1),
     (RECORD, ("params",), []),
     (RECORD, ("trace", "events"), [1]),
@@ -339,6 +342,16 @@ SCENARIO_DIGESTS = {
     "shared_component.json": "dc9ca2c75682a108510fa1c47ec656a7bbc979de786df3c7789e0ec93b705782",
 }
 
+# sha256 of each scenario's ``orya --format json simulate`` output. The report
+# prints lifecycle states and outcome labels that no digest covers.
+SCENARIO_REPORTS = {
+    "basic_push.json": "b9f08042b16d9bcce266772cf7bd57372722374f6d7110a33a1c7bf61691b4db",
+    "pull_update.json": "409e4a896eb8b5ef0f2919d43ef9a073943d899ff8689b43ab8db92100e32734",
+    "reconfigure.json": "bc985dc7a371559c3f3c569c2c8840657c6c8d21a1f4ff2424cc7755514a1b96",
+    "rollback_fault.json": "2af3a3c1ffcac99c858c0f92de5d1dce2e898e98ba90da4482c6fdb2600f702e",
+    "shared_component.json": "3361422cb2c8b476187e456185b6889207bd87e36504a77256d970c21d82cf4f",
+}
+
 
 def oracle_digest(u):
     """Single-pass reference: hash the canonical text of the whole store."""
@@ -382,6 +395,12 @@ class TestDigest:
             assert report.universe_digest == oracle_digest(final[-1]), path.name
             assert report.universe_digest == SCENARIO_DIGESTS[path.name], path.name
         assert len(final) == len(SCENARIO_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_REPORTS))
+    def test_scenario_reports_are_unchanged(self, name, capsys):
+        main(["--format", "json", "simulate", str(SCENARIO_DIR / name)])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_REPORTS[name]
 
     def test_churned_store_digest_matches_oracle(self, tmp_path):
         rng = random.Random(3)
