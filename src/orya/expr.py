@@ -494,12 +494,18 @@ class EvalMemo:
     with ``v >= 1.0.0``, whose reasons print differently. Site values equal
     under padding may share an entry: an outcome prints only the expression.
     Outcomes, checks and their report fragments are shared; never write them.
+    Equal outcomes, and equal checks, are one object: they hold only printed
+    clauses, codes and names, so equal ones print alike. ``reports`` holds
+    the values callers build from shared outcomes, under keys of their own
+    (``select_package``'s candidate reports).
     """
 
     def __init__(self):
         self._names: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._outcomes: dict[tuple, EvalOutcome] = {}
         self._standing: dict[tuple, StandingCheck] = {}
+        self._values: dict = {}  # each distinct outcome and check, itself
+        self.reports: dict[tuple, object] = {}
 
     def _key(self, texts: tuple[str, ...], props: dict[str, PropertyValue]) -> tuple:
         names = self._names.get(texts)
@@ -520,14 +526,15 @@ class EvalMemo:
             else:
                 parts = (self.outcome((t,), props) for t in texts)
                 out = reduce(combine_and, parts, EvalOutcome.satisfied())
-            self._outcomes[key] = out
+            out = self._outcomes[key] = self._values.setdefault(out, out)
         return out
 
     def standing(self, text: str, props: dict[str, PropertyValue]) -> StandingCheck:
         key = self._key((text,), props)
         check = self._standing.get(key)
         if check is None:
-            check = self._standing[key] = StandingCheck(text, self.outcome((text,), props))
+            check = StandingCheck(text, self.outcome((text,), props))
+            check = self._standing[key] = self._values.setdefault(check, check)
         return check
 
 

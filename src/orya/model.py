@@ -46,6 +46,10 @@ class Group:
     subgroups: tuple[str, ...] = ()
     description: str = ""
 
+    @cached_property
+    def canonical_json(self) -> str:
+        return canonical_json(group_to_json(self))
+
 
 @dataclass(frozen=True)
 class Machine:
@@ -54,6 +58,11 @@ class Machine:
     properties: dict[str, PropertyValue] = field(default_factory=dict)
     standing_constraints: tuple[str, ...] = ()  # constraint source text
     group_ids: tuple[str, ...] = ()
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """Cached: no code writes ``properties`` in place."""
+        return canonical_json(machine_to_json(self))
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,16 @@ class EnterpriseModel:
 
     @cached_property
     def canonical_json(self) -> str:
-        return canonical_json(enterprise_to_json(self))
+        """``canonical_json(enterprise_to_json(self))``, joined from each
+        group's and machine's cached text in the key order ``sort_keys``
+        gives, so a model that differs in one machine serialises one."""
+        groups = ",".join([g.canonical_json for g in self.groups])
+        machines = ",".join([m.canonical_json for m in self.machines])
+        users = canonical_json([user_to_json(u) for u in self.users])
+        return (
+            f'{{"groups":[{groups}],"id":{canonical_json(self.id)},"machines":[{machines}],'
+            f'"roles":{canonical_json(list(self.roles))},"users":{users}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -371,33 +389,36 @@ def enterprise_from_json(doc: dict) -> EnterpriseModel:
     )
 
 
+def group_to_json(g: Group) -> dict:
+    return {
+        "id": g.id,
+        "parent": g.parent,
+        "members": list(g.members),
+        "subgroups": list(g.subgroups),
+        "description": g.description,
+    }
+
+
+def machine_to_json(m: Machine) -> dict:
+    return {
+        "id": m.id,
+        "kind": m.kind.value,
+        "properties": property_map_to_json(m.properties),
+        "constraints": list(m.standing_constraints),
+        "groups": list(m.group_ids),
+    }
+
+
+def user_to_json(u: User) -> dict:
+    return {"id": u.id, "roles": list(u.roles), "machines": list(u.machine_ids)}
+
+
 def enterprise_to_json(model: EnterpriseModel) -> dict:
     return {
         "id": model.id,
-        "groups": [
-            {
-                "id": g.id,
-                "parent": g.parent,
-                "members": list(g.members),
-                "subgroups": list(g.subgroups),
-                "description": g.description,
-            }
-            for g in model.groups
-        ],
-        "machines": [
-            {
-                "id": m.id,
-                "kind": m.kind.value,
-                "properties": property_map_to_json(m.properties),
-                "constraints": list(m.standing_constraints),
-                "groups": list(m.group_ids),
-            }
-            for m in model.machines
-        ],
-        "users": [
-            {"id": u.id, "roles": list(u.roles), "machines": list(u.machine_ids)}
-            for u in model.users
-        ],
+        "groups": [group_to_json(g) for g in model.groups],
+        "machines": [machine_to_json(m) for m in model.machines],
+        "users": [user_to_json(u) for u in model.users],
         "roles": list(model.roles),
     }
 

@@ -72,11 +72,13 @@ for _state in _NEUTRAL_STATES:
 
 
 def transition(state: LifecycleState, activity: ActivityKind) -> LifecycleState:
-    """Apply the lifecycle transition table; illegal pairs raise."""
+    """Apply the lifecycle transition table; illegal pairs raise, and so does
+    a ``state`` that is not a lifecycle state, named as given."""
     try:
         return _TRANSITIONS[(state, activity)]
     except KeyError:
-        raise IllegalTransitionError(state.value, activity.value) from None
+        name = state.value if isinstance(state, LifecycleState) else state
+        raise IllegalTransitionError(name, activity.value) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ Every constraint is evaluated through an ``expr.EvalMemo``: one per push, or
 one per call when the caller passes none. Its entries are keyed by the
 constraint's source text and the typed values of the properties the text
 reads, so a push evaluates each text once per distinct input, not once per
-site, and the sites that share an outcome share its report fragment. Keys
-are never ``Expression`` equality or bare value equality: ``1 == True`` and
+site, and the sites that share an outcome share its report fragment, as
+sites whose candidate reports match share one report. Keys are never
+``Expression``, dataclass or bare value equality: ``1 == True`` and
 ``Version`` padding would merge constraints whose reports differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import EvalMemo, EvalOutcome, StandingCheck, Status, check_standing
 from .safety import Conflict, SafetyPolicy, blocking_conflicts, check_safety
@@ -33,6 +35,11 @@ class CandidateReport:
     reasons: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        """Built once per report and shared, like ``EvalOutcome.to_json``."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         out = {
             "unit": self.unit_id,
             "admissible": self.admissible,
@@ -130,19 +137,30 @@ def select_package(
         if blocking_conflicts(conflicts):
             reasons.append("SAFETY_CONFLICT")
 
-        admissible = not reasons
-        reports.append(
-            CandidateReport(
+        # Sites whose candidate got the same shared outcomes and checks (by
+        # identity: the memo keeps them alive), equal conflict fragments and
+        # the same reasons share one report. ``admissible`` is ``not reasons``.
+        key = (
+            unit.id,
+            id(constraint_outcome),
+            id(filter_outcome),
+            tuple(map(id, standing)),
+            tuple(tuple(c.to_json().items()) for c in conflicts),
+            tuple(reasons),
+        )
+        report = memo.reports.get(key)
+        if report is None:
+            report = memo.reports[key] = CandidateReport(
                 unit_id=unit.id,
                 constraint_outcome=constraint_outcome,
                 standing=standing,
                 conflicts=conflicts,
                 filter_outcome=filter_outcome,
-                admissible=admissible,
+                admissible=not reasons,
                 reasons=tuple(reasons),
             )
-        )
-        if admissible:
+        reports.append(report)
+        if report.admissible:
             admissible_units.append(unit)
 
     if admissible_units:

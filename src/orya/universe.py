@@ -15,9 +15,16 @@ pretty-printed by older versions open as they are.
 
 Cost model: a store call costs what changed, not the whole store.
 
-- Each frozen document value (enterprise, packaged unit, site state, record)
-  computes its canonical JSON once. ``save_universe`` writes that text and
-  ``universe_digest`` joins the same texts, so neither re-serialises a value.
+- Each frozen document value (enterprise, packaged unit, site state, record,
+  and each group and machine of the enterprise) computes its canonical JSON
+  once. ``save_universe`` writes that text and ``universe_digest`` joins the
+  same texts, so neither re-serialises a value, and a changed machine costs
+  one machine's text.
+- ``universe_digest`` keeps the SHA-256 state after the records it last
+  hashed. Given the same catalog mapping and the same record objects under
+  ids d000000.., it feeds only the records added since, then the enterprise
+  and sites: its cost no longer grows with the record count. Anything else is
+  hashed in full.
 - ``save_universe`` writes a document only when its bytes differ from the
   file on disk, and never rewrites an existing record. Given ``base``, it does
   not even read a document whose frozen value ``is`` the one in ``base``.
@@ -39,7 +46,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateUnitError,
@@ -178,28 +187,98 @@ def universe_to_json(u: Universe) -> dict:
     }
 
 
-def _object_text(members) -> str:
-    """Canonical JSON of the object with these (key, value text) members."""
-    return "{" + ",".join(f"{canonical_json(key)}:{text}" for key, text in sorted(members)) + "}"
+def _members(pairs) -> str:
+    """The members of a canonical JSON object, from (key, value text) pairs
+    already in key order. A key is quoted as ``json.dumps`` quotes a str."""
+    return ",".join([f"{encode_basestring_ascii(key)}:{text}" for key, text in pairs])
+
+
+class _DigestSlot(NamedTuple):
+    """What ``universe_digest`` last hashed up to the end of the records: the
+    catalog mapping, the record ids in order with weak references to their
+    records, and the SHA-256 state after them. A stored state is never
+    updated in place; extending it stores a new slot."""
+
+    catalog: dict
+    ids: tuple[str, ...]
+    records: tuple[weakref.ref, ...]
+    state: object
+
+
+_digest_slot: _DigestSlot | None = None
+
+# Ids d000000..d999999 sort as their numbers do, so records appended in id
+# order extend the hashed text at its end.
+_MAX_SLOT_RECORDS = 10**6
+
+
+def _extend_slot(u: Universe) -> _DigestSlot | None:
+    """The slot extended by the records added to ``u`` since, or None unless
+    ``u`` holds the slot's catalog mapping, each of its records under the same
+    id, and new records under exactly the ids that follow."""
+    slot, deployments = _digest_slot, u.deployments
+    n = len(deployments)
+    if slot is None or slot.catalog is not u.catalog or not len(slot.ids) <= n <= _MAX_SLOT_RECORDS:
+        return None
+    for rid, ref in zip(slot.ids, slot.records):
+        record = ref()
+        if record is None or deployments.get(rid) is not record:
+            return None
+    new_ids = [f"d{i:06d}" for i in range(len(slot.ids), n)]
+    new = [deployments.get(rid) for rid in new_ids]
+    if not new:
+        return slot
+    if any(record is None for record in new):
+        return None
+    # n distinct ids, all of them expected ones: the ids are d000000..d{n-1}.
+    state = slot.state.copy()
+    text = _members(zip(new_ids, [record.canonical_json for record in new]))
+    state.update(("," + text if slot.ids else text).encode())
+    return _DigestSlot(
+        u.catalog, slot.ids + tuple(new_ids), slot.records + tuple(map(weakref.ref, new)), state
+    )
+
+
+def _full_slot(u: Universe) -> _DigestSlot:
+    """Hash the text from its start to the end of the records. The ids are
+    empty (nothing to extend) unless they are d000000..d{n-1}."""
+    catalog = _members(
+        (server, "[" + ",".join([unit.canonical_json for unit in units]) + "]")
+        for server, units in sorted(u.catalog.items())
+    )
+    ids = sorted(u.deployments)
+    records = [u.deployments[rid] for rid in ids]
+    state = hashlib.sha256(f'{{"catalog":{{{catalog}}},"deployments":{{'.encode())
+    state.update(_members(zip(ids, [record.canonical_json for record in records])).encode())
+    if len(ids) > _MAX_SLOT_RECORDS or ids != [f"d{i:06d}" for i in range(len(ids))]:
+        return _DigestSlot(u.catalog, (), (), state)
+    return _DigestSlot(u.catalog, tuple(ids), tuple(map(weakref.ref, records)), state)
 
 
 def universe_digest(u: Universe) -> str:
     """SHA-256 of ``canonical_json(universe_to_json(u))``.
 
     The text is joined from each document's cached canonical JSON, the text
-    its store file holds, in the key order ``sort_keys`` gives.
+    its store file holds, in the key order ``sort_keys`` gives. The records
+    come after the catalog and before the enterprise and sites, are never
+    rewritten, and ids d000000.. sort in the order they were added, so the
+    SHA-256 state after the records is kept: when ``u`` has the catalog
+    mapping last hashed and every record then hashed under the same id, only
+    the records added since are fed, to a copy of that state. Any other
+    universe is hashed in full; if its ids are d000000.., its state is kept.
     """
-    catalog = (
-        (server, "[" + ",".join(unit.canonical_json for unit in units) + "]")
-        for server, units in u.catalog.items()
+    global _digest_slot
+    slot = _extend_slot(u)
+    if slot is None:
+        slot = _full_slot(u)
+    if slot.ids:
+        _digest_slot = slot
+    sites = _members(
+        (site, state.canonical_json) for site, state in sorted(u.site_states.items())
     )
-    text = _object_text([
-        ("catalog", _object_text(catalog)),
-        ("deployments", _object_text((rid, r.canonical_json) for rid, r in u.deployments.items())),
-        ("enterprise", u.enterprise.canonical_json),
-        ("sites", _object_text((site, s.canonical_json) for site, s in u.site_states.items())),
-    ])
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = slot.state.copy()
+    digest.update(f'}},"enterprise":{u.enterprise.canonical_json},"sites":{{{sites}}}}}'.encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,10 @@ def test_happy_path():
     ):
         state = transition(state, activity)
     assert state is R
+
+
+def test_a_state_outside_the_enum_is_illegal_and_named():
+    with pytest.raises(IllegalTransitionError) as exc:
+        transition("BOGUS", ActivityKind.ACTIVATE)
+    assert exc.value.state == "BOGUS"
+    assert "BOGUS" in exc.value.message

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from orya.model import (
     site_state_to_json,
     validate_enterprise,
 )
-from orya.values import Size, Version
+from orya.values import Size, Version, canonical_json
 
 
 def _machine(mid, kind=MachineKind.CLIENT_SITE, **kw):
@@ -188,6 +189,33 @@ class TestCodecs:
         )
         doc = enterprise_to_json(model)
         assert enterprise_from_json(doc) == model
+
+    def test_enterprise_text_is_the_canonical_json_of_its_document(self):
+        """The text joined from cached group and machine texts is byte for
+        byte the one ``sort_keys`` gives, before and after a property change."""
+        props = {"os": "linux", "tier": 1, "beta": True, "v": Version.parse("1.0")}
+        model = EnterpriseModel(
+            id="e\u00e9",
+            groups=(
+                Group("top", members=("s1",), subgroups=("sub",), description="na\u00efve \"q\""),
+                Group("sub", parent="top", members=("s2", "srv")),
+            ),
+            machines=(
+                _machine("s1", properties=props, standing_constraints=("disk.free >= 1GB",),
+                         group_ids=("top",)),
+                _machine("s2", properties={"disk.free": Size.parse("4GB")}, group_ids=("sub",)),
+                _machine("srv", kind=MachineKind.APP_SERVER),
+            ),
+            users=(User("ops", roles=("admin",), machine_ids=("s1", "s2")), User("\u00fc")),
+            roles=("admin", "viewer"),
+        )
+        assert model.canonical_json == canonical_json(enterprise_to_json(model))
+        s1, _ = apply_property_change(model.machines[0], "ram", Size.parse("8GB"))
+        changed = replace(model, machines=(s1,) + model.machines[1:])
+        assert changed.canonical_json == canonical_json(enterprise_to_json(changed))
+        assert EnterpriseModel("empty").canonical_json == canonical_json(
+            enterprise_to_json(EnterpriseModel("empty"))
+        )
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,9 @@ from orya.errors import NotDeployedError, UnknownProductError, UnknownUnitError
 from orya.process import Activity, ActivityKind, ProcessDef, Seq, StepOutcome
 from orya.safety import ConflictKind
 from orya.simharness import Fault, build_fleet, inject
-from orya.universe import empty_universe, publish_unit, universe_digest
-from orya.values import Size
+from orya.model import ClientSiteState, DeployedUnit
+from orya.universe import empty_universe, publish_unit, set_site_state, universe_digest
+from orya.values import Size, Version
 
 
 def make_universe(sites, units, servers=("srv1",)):
@@ -463,6 +464,17 @@ class TestActivation:
         assert report.entries[0].outcome == "DEACTIVATED"
         u, report = orch.activate(u, "s1", "ed-1.0", fleet)
         assert report.entries[0].outcome == "ACTIVATED"
+
+    def test_a_state_outside_the_enum_is_skipped_as_illegal(self):
+        u = make_universe({"s1": (LINUX, ())}, [])
+        bogus = DeployedUnit("a", "p", Version.parse("1.0"), "BOGUS")
+        u = set_site_state(u, ClientSiteState("s1", (bogus,), ()))
+        fleet = build_fleet(u)
+        after, report = orch.deactivate(u, "s1", "a", fleet)
+        assert [e.to_json() for e in report.entries] == [
+            {"site": "s1", "outcome": "SKIPPED", "reason": "ILLEGAL_TRANSITION", "unit": "a"}
+        ]
+        assert after is u
 
 
 def unpushed():

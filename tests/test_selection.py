@@ -320,6 +320,40 @@ class TestMemoKeys:
         standing = [r[uid].standing[0].to_json() for r in reports for uid in r]
         assert all(f is fragments[0] for f in fragments)
         assert all(s is standing[0] for s in standing)
+        for uid in reports[0]:
+            assert reports[0][uid] is reports[1][uid]
+            assert reports[0][uid].to_json() is reports[1][uid].to_json()
+
+    def test_equal_outcomes_of_different_inputs_are_one_object(self):
+        """Sites whose ``disk.free`` differs get equal checks; equal values are
+        one object, so their candidates share one report."""
+        units = [make_unit("u", product="p", constraints=["ram >= 1GB"], footprint="1MB")]
+        sites = [
+            make_site({"ram": Size.parse(ram), "disk.free": Size.parse(free)}, ("disk.free >= 1GB",))
+            for ram, free in (("2GB", "10GB"), ("4GB", "20GB"), ("8GB", "30GB"))
+        ]
+        reports = [r["u"] for r in shared_and_fresh(units, sites)]
+        assert all(r is reports[0] for r in reports)
+        assert reports[0].admissible
+
+    def test_conflicts_that_print_apart_never_share_a_report(self):
+        """Installed ``lib`` 1.0 and 1 are equal Versions but print apart, so
+        the candidate's OVERWRITE conflicts, and its reports, differ."""
+        units = [make_unit("u", product="p", provides=[("lib", "2.0")])]
+        site = make_site()
+        memo = EvalMemo()
+        reports = []
+        for installed in ("1.0", "1", "1.0", "1"):
+            provides = (("lib", Version.parse(installed)),)
+            lib = DeployedUnit("old", "q", Version.parse("1.0"), "ACTIVE", provides=provides)
+            state = ClientSiteState("s", (lib,), ("q",))
+            shared = select_package("p", units, site, state, memo=memo)
+            assert shared.to_json() == select_package("p", units, site, state).to_json()
+            (candidate,) = shared.candidates
+            assert candidate.to_json()["conflicts"][0]["installed"] == installed
+            reports.append(candidate)
+        assert reports[0] is reports[2] and reports[1] is reports[3]
+        assert reports[0] is not reports[1]
 
 
 @settings(max_examples=60, deadline=None)

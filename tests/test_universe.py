@@ -6,6 +6,7 @@ import random
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from orya.errors import (
 )
 from orya.model import ClientSiteState, DeployedUnit
 from orya.process import (
+    PRESENT,
     ActivityKind,
     Activity,
     ExecutionTrace,
@@ -33,6 +35,8 @@ from orya.process import (
     TraceStatus,
     process_digest,
 )
+from orya.service import LocalEngine
+from orya.units import unit_to_json
 from orya.universe import (
     DeployMode,
     DeploymentRecord,
@@ -429,6 +433,136 @@ class TestDigest:
             assert universe_digest(reloaded) == oracle_digest(reloaded) == oracle_digest(u)
             u = reloaded
         assert u.deployments
+
+
+def digest_store(root, seed):
+    """A three-site store with three published units, served by an engine."""
+    sites = {f"s{i}": ({"os": "linux", "ram": "4GB", "disk.free": "100GB"}, ()) for i in range(3)}
+    save_universe(replace(empty_universe(root), enterprise=make_enterprise(sites)))
+    engine = LocalEngine(root)
+    for n in range(3):
+        unit = make_unit(f"{seed}-u{n}", product=f"p{n % 2}", resources=[("bin", 5, "x")])
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": unit_to_json(unit)})["ok"]
+    return engine
+
+
+class TestWarmDigest:
+    """``universe_digest`` extends the kept SHA-256 state by the records added
+    since; whatever a sequence of ops does, it equals the single-pass oracle."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_digest_matches_oracle_after_every_op(self, tmp_path, monkeypatch, seed):
+        extended = []
+        extend_slot = universe_mod._extend_slot
+
+        def spy(u):
+            slot = extend_slot(u)
+            extended.append(slot is not None)
+            return slot
+
+        monkeypatch.setattr(universe_mod, "_extend_slot", spy)
+        rng = random.Random(seed)
+        engines = [digest_store(tmp_path / name, f"{seed}{name}") for name in "ab"]
+        current = 0
+        checked = 0
+
+        def check(u):
+            nonlocal checked
+            assert universe_digest(u) == oracle_digest(u)
+            checked += 1
+
+        for step in range(80):
+            if rng.random() < 0.25:  # the other engine's turn
+                current = 1 - current
+            engine = engines[current]
+            u = engine.universe
+            published = [unit for units in u.catalog.values() for unit in units]
+            deployed = [
+                (site, du) for site, state in sorted(u.site_states.items())
+                for du in state.deployed_units if du.state in PRESENT
+            ]
+            op = rng.choice(
+                ["deploy", "toggle", "toggle", "set_prop", "publish", "unpublish",
+                 "failed_save", "reload", "swap", "odd_ids"]
+            )
+            if op == "deploy" and published:
+                sites = rng.sample(["s0", "s1", "s2"], rng.randrange(1, 4))
+                product = rng.choice(published).product_id
+                assert engine.handle({"op": "deploy", "product": product, "sites": sites})["ok"]
+            elif op == "toggle" and deployed:
+                site, du = rng.choice(deployed)
+                toggle = "deactivate" if du.state == "ACTIVE" else "activate"
+                assert engine.handle({"op": toggle, "site": site, "unit": du.unit_id})["ok"]
+            elif op == "set_prop":
+                req = {"op": "set_prop", "site": rng.choice(["s0", "s1", "s2"]), "name": "ram",
+                       "value": rng.choice(["2GB", "4GB", "8GB"])}
+                assert engine.handle(req)["ok"]
+            elif op == "publish":
+                unit = make_unit(f"{seed}-v{step}", product=rng.choice(["p0", "p1"]))
+                req = {"op": "publish", "server": "srv1", "manifest": unit_to_json(unit)}
+                assert engine.handle(req)["ok"]
+            elif op == "unpublish" and published:
+                req = {"op": "unpublish", "server": "srv1", "unit": rng.choice(published).id}
+                assert engine.handle(req)["ok"]
+            elif op == "failed_save":
+                lock = engine.store / LOCK_FILE
+                lock.write_text("other")
+                req = {"op": "set_prop", "site": "s0", "name": "ram", "value": rng.choice(["2GB", "8GB"])}
+                assert engine.handle(req)["error"]["code"] == "LOCKED"
+                lock.unlink()
+                assert engine.universe is not u  # reloaded from the store
+            elif op == "reload":
+                engine.reload()
+            elif op == "swap" and u.deployments:
+                rid = rng.choice(sorted(u.deployments))
+                record = u.deployments[rid]
+                swapped = {**u.deployments, rid: replace(record, finished_at=record.finished_at + 1)}
+                check(replace(u, deployments=swapped))
+            elif op == "odd_ids" and u.deployments:
+                record = u.deployments[max(u.deployments)]
+                odd = {**u.deployments, "x-1": record}
+                for deployments in (
+                    odd,
+                    {**odd, f"d{len(odd):06d}": record},  # sorts before "x-1"
+                    {**u.deployments, "d1000000": record},
+                    {rid: r for rid, r in u.deployments.items() if r is not record},
+                ):
+                    check(replace(u, deployments=deployments))
+            check(engine.universe)
+            check(engine.universe)
+        assert all(e.universe.deployments for e in engines)
+        # Switches, catalog changes, reloads and odd universes hash in full;
+        # a good share of digests still extended the kept state.
+        assert checked / 4 < sum(extended) < checked
+
+    def test_a_warm_digest_feeds_only_the_new_records(self, monkeypatch):
+        fed = []
+
+        class CountingSha256:
+            def __init__(self, data=b"", state=None):
+                self.state = hashlib.sha256() if state is None else state
+                self.update(data)
+
+            def update(self, data):
+                fed.append(len(data))
+                self.state.update(data)
+
+            def copy(self):
+                return CountingSha256(state=self.state.copy())
+
+            def hexdigest(self):
+                return self.state.hexdigest()
+
+        monkeypatch.setattr(universe_mod, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        u = populated_universe(None)
+        for n in range(1, 40):
+            u = record_deployment(u, make_record(f"d{n:06d}", unit=f"u-{n}"))
+        assert universe_digest(u) == oracle_digest(u)
+        hashed = sum(len(record.canonical_json) for record in u.deployments.values())
+        u = record_deployment(u, make_record(u.next_deployment_id(), unit="u-new"))
+        fed.clear()
+        assert universe_digest(u) == oracle_digest(u)
+        assert len(u.deployments["d000040"].canonical_json) < sum(fed) < hashed
 
 
 class TestWriteRules:
