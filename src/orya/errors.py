@@ -90,6 +90,12 @@ class StoreLockedError(OryaError):
         self.holder = holder
 
 
+class StoreChangedError(OryaError):
+    """Another writer committed since the store was read; nothing was written."""
+
+    code = "LOCKED"
+
+
 class StepFailure(OryaError):
     """A deployment primitive failed; triggers compensation."""
 

@@ -15,19 +15,12 @@ import threading
 from pathlib import Path
 
 from . import orchestrator as orch
-from .errors import OryaError, UnknownTargetError
+from .errors import OryaError, StoreChangedError, UnknownTargetError
 from .model import MachineKind, enterprise_to_json, lookup_machine, validate_enterprise
 from .safety import SafetyPolicy
 from .simharness import Fleet, build_fleet, sync_properties
 from .units import unit_from_json
-from .universe import (
-    Universe,
-    open_universe,
-    publish_unit,
-    remove_unit,
-    save_universe,
-    universe_digest,
-)
+from .universe import Store, Universe, publish_unit, remove_unit, universe_digest
 from .values import value_from_json
 
 # Outcomes that count as "the operation did something" for exit-code purposes.
@@ -62,31 +55,11 @@ def _report_response(report: orch.FleetReport) -> dict:
     return {"ok": True, "refusal": refusal, "report": report.to_json()}
 
 
-class LocalEngine:
-    """Executes protocol requests against one universe store."""
-
-    def __init__(self, store: str | Path):
-        self.store = Path(store)
-        self.universe: Universe = open_universe(self.store)
-
-    def reload(self) -> None:
-        self.universe = open_universe(self.store)
-
-    def _fleet(self, u: Universe) -> Fleet:
-        """The fleet a write op runs on: a fresh one per op over ``u``."""
-        return build_fleet(u)
-
-    def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
-        """Save over ``self.universe``, last opened or saved, so only what the
-        op changed is serialised; after a failed save, reload and re-raise."""
-        if fleet is not None:
-            u = sync_properties(u, fleet)
-        try:
-            save_universe(u, self.store, base=self.universe)
-        except Exception:
-            self.reload()
-            raise
-        self.universe = u
+class Engine:
+    """Executes protocol requests against ``self.universe``. A subclass holds
+    the universe and its ``store`` (None when nothing is saved), and gives the
+    fleet an op runs on (``_fleet``) and how an op's result is kept
+    (``_commit``)."""
 
     def handle(self, req: dict) -> dict:
         """A domain error answers by its code and a malformed request as
@@ -98,7 +71,13 @@ class LocalEngine:
         if handler is None:
             return _error("USAGE", f"unknown op {op!r}")
         try:
-            return handler(req)
+            try:
+                return handler(req)
+            except StoreChangedError:
+                # Another writer committed since the store was read: read it
+                # again and run the op once more; a second refusal answers.
+                self.store.reopen()
+                return handler(req)
         except OryaError as err:
             return _error(err.code, err.message)
         except (KeyError, ValueError, TypeError) as err:
@@ -201,16 +180,35 @@ class LocalEngine:
         return {"ok": True, "refusal": False, "report": report.to_json()}
 
     def op_digest(self, req):
-        return {"ok": True, "digest": universe_digest(self.universe)}
+        return {"ok": True, "digest": universe_digest(self.universe, self.store)}
 
 
-class ScenarioEngine(LocalEngine):
+class LocalEngine(Engine):
+    """Executes protocol requests against one universe store."""
+
+    def __init__(self, root: str | Path):
+        self.store = Store(root)
+
+    @property
+    def universe(self) -> Universe:
+        return self.store.universe
+
+    def _fleet(self, u: Universe) -> Fleet:
+        """The fleet a write op runs on: a fresh one per op over ``u``."""
+        return build_fleet(u)
+
+    def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
+        if fleet is not None:
+            u = sync_properties(u, fleet)
+        self.store.commit(u)
+
+
+class ScenarioEngine(Engine):
     """The same ops over an in-memory universe and one live fleet; nothing is
     saved. The fleet's clock, armed faults and site files carry across ops."""
 
     def __init__(self, u: Universe, fleet: Fleet):
-        self.universe = u
-        self.fleet = fleet
+        self.universe, self.store, self.fleet = u, None, fleet
 
     def _fleet(self, u: Universe) -> Fleet:
         return self.fleet

@@ -11,7 +11,7 @@ hands them the catalog unit whose resource it fetches. Fault plans arm
 step-level failures by step path or primitive kind with an occurrence index.
 
 A scenario script is a list of service ops, spelled with dashes, run through
-``LocalEngine.handle`` over an in-memory universe and one live fleet; a
+``Engine.handle`` over an in-memory universe and one live fleet; a
 ``set-prop`` changes the live site's machine. ``inject`` (arm faults) is the
 only harness-only command. A step the engine refuses stops the run with the
 engine's error code.

@@ -7,11 +7,16 @@ document's canonical JSON (compact, sorted keys) and a newline::
     catalog/<server>/<unit>.json
     sites/<machine>/state.json
     deployments/<id>.json
+    universe.head            the store's generation; 0 when absent
     universe.lock            (present only while a writer holds the store)
 
 Deployment records are append-only; they embed a full copy of the executed
 process so pull updates and reconfiguration survive catalog removal. Files
 pretty-printed by older versions open as they are.
+
+A save moves the head's generation before its first change. A ``Store`` is
+one opened root; a commit through it is refused, with nothing written, when
+the head no longer holds the generation the store read.
 
 Cost model: a store call costs what changed, not the whole store.
 
@@ -20,24 +25,16 @@ Cost model: a store call costs what changed, not the whole store.
   once. ``save_universe`` writes that text and ``universe_digest`` joins the
   same texts, so neither re-serialises a value, and a changed machine costs
   one machine's text.
-- ``universe_digest`` keeps the SHA-256 state after the records it last
-  hashed. Given the same catalog mapping and the same record objects under
-  ids d000000.., it feeds only the records added since, then the enterprise
-  and sites: its cost no longer grows with the record count. Anything else is
-  hashed in full.
-- ``save_universe`` writes a document only when its bytes differ from the
-  file on disk, and never rewrites an existing record. Given ``base``, it does
-  not even read a document whose frozen value ``is`` the one in ``base``.
-- ``open_universe`` reads every file, but parses a record only when the bytes
-  of its file have not been parsed before by a record that is still alive.
-- One open builds each distinct process copy, deployed unit and trace event
-  once, matched by canonical JSON text (tables local to the open), and
-  computes each process's digest once: every record is still checked
-  against its trace's digest.
+- A ``Store`` keeps the SHA-256 state after its records, and
+  ``universe_digest`` of its universe feeds only the records its commits
+  added since, then the enterprise and sites: its cost no longer grows with
+  the record count. Any other universe is hashed in full.
+- ``save_universe`` and ``open_universe`` say which documents they skip.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -48,12 +45,12 @@ from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import (
     DuplicateUnitError,
     ExpressionSyntaxError,
     ProcessTooLargeError,
+    StoreChangedError,
     StoreCorruptError,
     StoreLockedError,
     UnknownTargetError,
@@ -64,9 +61,7 @@ from .model import (
     EnterpriseModel,
     MachineKind,
     enterprise_from_json,
-    enterprise_to_json,
     site_state_from_json,
-    site_state_to_json,
 )
 from .process import (
     MAX_PROGRESS_POINTS,
@@ -80,11 +75,12 @@ from .process import (
     progress_points,
     trace_from_json,
 )
-from .units import PackagedUnit, unit_from_json, unit_to_json
+from .units import PackagedUnit, unit_from_json
 from .values import canonical_json, expect
 
 ENV_UNIVERSE = "ORYA_UNIVERSE"
 LOCK_FILE = "universe.lock"
+HEAD_FILE = "universe.head"
 
 
 class DeployMode(str, Enum):
@@ -173,110 +169,47 @@ def empty_universe(root: Path | None = None) -> Universe:
 # Canonical serialization and digests
 
 
-def universe_to_json(u: Universe) -> dict:
-    return {
-        "enterprise": enterprise_to_json(u.enterprise),
-        "catalog": {
-            server: [unit_to_json(unit) for unit in units]
-            for server, units in sorted(u.catalog.items())
-        },
-        "sites": {
-            site: site_state_to_json(state) for site, state in sorted(u.site_states.items())
-        },
-        "deployments": {rid: record.to_json() for rid, record in sorted(u.deployments.items())},
-    }
-
-
 def _members(pairs) -> str:
     """The members of a canonical JSON object, from (key, value text) pairs
     already in key order. A key is quoted as ``json.dumps`` quotes a str."""
     return ",".join([f"{encode_basestring_ascii(key)}:{text}" for key, text in pairs])
 
 
-class _DigestSlot(NamedTuple):
-    """What ``universe_digest`` last hashed up to the end of the records: the
-    catalog mapping, the record ids in order with weak references to their
-    records, and the SHA-256 state after them. A stored state is never
-    updated in place; extending it stores a new slot."""
-
-    catalog: dict
-    ids: tuple[str, ...]
-    records: tuple[weakref.ref, ...]
-    state: object
-
-
-_digest_slot: _DigestSlot | None = None
-
 # Ids d000000..d999999 sort as their numbers do, so records appended in id
 # order extend the hashed text at its end.
-_MAX_SLOT_RECORDS = 10**6
+_MAX_KEPT_RECORDS = 10**6
 
 
-def _extend_slot(u: Universe) -> _DigestSlot | None:
-    """The slot extended by the records added to ``u`` since, or None unless
-    ``u`` holds the slot's catalog mapping, each of its records under the same
-    id, and new records under exactly the ids that follow."""
-    slot, deployments = _digest_slot, u.deployments
-    n = len(deployments)
-    if slot is None or slot.catalog is not u.catalog or not len(slot.ids) <= n <= _MAX_SLOT_RECORDS:
-        return None
-    for rid, ref in zip(slot.ids, slot.records):
-        record = ref()
-        if record is None or deployments.get(rid) is not record:
-            return None
-    new_ids = [f"d{i:06d}" for i in range(len(slot.ids), n)]
-    new = [deployments.get(rid) for rid in new_ids]
-    if not new:
-        return slot
-    if any(record is None for record in new):
-        return None
-    # n distinct ids, all of them expected ones: the ids are d000000..d{n-1}.
-    state = slot.state.copy()
-    text = _members(zip(new_ids, [record.canonical_json for record in new]))
-    state.update(("," + text if slot.ids else text).encode())
-    return _DigestSlot(
-        u.catalog, slot.ids + tuple(new_ids), slot.records + tuple(map(weakref.ref, new)), state
-    )
-
-
-def _full_slot(u: Universe) -> _DigestSlot:
-    """Hash the text from its start to the end of the records. The ids are
-    empty (nothing to extend) unless they are d000000..d{n-1}."""
+def _hash_records(u: Universe):
+    """The SHA-256 state of the digest text from its start to the end of the
+    records, and whether the ids are d000000..d{n-1}, so that more records
+    would extend that text at its end."""
     catalog = _members(
         (server, "[" + ",".join([unit.canonical_json for unit in units]) + "]")
         for server, units in sorted(u.catalog.items())
     )
     ids = sorted(u.deployments)
-    records = [u.deployments[rid] for rid in ids]
     state = hashlib.sha256(f'{{"catalog":{{{catalog}}},"deployments":{{'.encode())
-    state.update(_members(zip(ids, [record.canonical_json for record in records])).encode())
-    if len(ids) > _MAX_SLOT_RECORDS or ids != [f"d{i:06d}" for i in range(len(ids))]:
-        return _DigestSlot(u.catalog, (), (), state)
-    return _DigestSlot(u.catalog, tuple(ids), tuple(map(weakref.ref, records)), state)
+    state.update(_members(zip(ids, [u.deployments[rid].canonical_json for rid in ids])).encode())
+    extendable = len(ids) <= _MAX_KEPT_RECORDS and ids == [f"d{i:06d}" for i in range(len(ids))]
+    return state, extendable
 
 
-def universe_digest(u: Universe) -> str:
-    """SHA-256 of ``canonical_json(universe_to_json(u))``.
-
-    The text is joined from each document's cached canonical JSON, the text
-    its store file holds, in the key order ``sort_keys`` gives. The records
-    come after the catalog and before the enterprise and sites, are never
-    rewritten, and ids d000000.. sort in the order they were added, so the
-    SHA-256 state after the records is kept: when ``u`` has the catalog
-    mapping last hashed and every record then hashed under the same id, only
-    the records added since are fed, to a copy of that state. Any other
-    universe is hashed in full; if its ids are d000000.., its state is kept.
-    """
-    global _digest_slot
-    slot = _extend_slot(u)
-    if slot is None:
-        slot = _full_slot(u)
-    if slot.ids:
-        _digest_slot = slot
+def universe_digest(u: Universe, store: Store | None = None) -> str:
+    """SHA-256 of the canonical JSON of the whole universe, joined from each
+    document's cached canonical JSON (the text its store file holds) in
+    ``sort_keys`` order. The records come after the catalog and before the
+    enterprise and sites, so for the universe of ``store`` the state the
+    store keeps after its records is extended (see ``Store``); any other
+    universe is hashed in full."""
+    if store is not None and store.universe is u:
+        hashed = store._hashed_records()
+    else:
+        hashed, _ = _hash_records(u)
     sites = _members(
         (site, state.canonical_json) for site, state in sorted(u.site_states.items())
     )
-    digest = slot.state.copy()
+    digest = hashed.copy()
     digest.update(f'}},"enterprise":{u.enterprise.canonical_json},"sites":{{{sites}}}}}'.encode())
     return digest.hexdigest()
 
@@ -324,27 +257,138 @@ def cross_validate(u: Universe) -> None:
 # Locking
 
 
+def _holder(text: str) -> tuple[str, bool]:
+    """The writer a lock file's text names, and whether it was a process on
+    this host that is gone. Read under the directory flock, an empty lock is
+    one whose writer died before writing to it. Any other text ``store_lock``
+    did not write names itself and is never taken as gone."""
+    if not text:
+        return "", True
+    try:
+        doc = json.loads(text)
+        writer, pid, host = str(doc["writer"]), doc["pid"], doc["host"]
+    except (ValueError, TypeError, KeyError):
+        return text.strip(), False
+    if host != os.uname().nodename or type(pid) is not int or pid <= 0:
+        return writer, False
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    except ProcessLookupError:
+        return writer, True
+    except PermissionError:
+        pass  # alive, under another user
+    return writer, False
+
+
 @contextmanager
 def store_lock(root: Path, writer_id: str = "orya"):
-    """Advisory single-writer lock; the second writer gets LOCKED."""
+    """Advisory single-writer lock; the second writer gets LOCKED, naming the
+    holder. The lock file records the writer, its pid and its host. Writers
+    create and fill it under a flock of the store directory, so a lock whose
+    holder on this host is gone is taken over by one writer only."""
     lock_path = root / LOCK_FILE
+    fd = os.open(root, os.O_RDONLY)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close, or by the process's end
         try:
-            holder = lock_path.read_text().strip()
-        except OSError:
-            holder = "unknown"
-        raise StoreLockedError(holder) from None
-    try:
-        os.write(fd, writer_id.encode())
+            lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                text = lock_path.read_text()
+            except OSError:
+                text = "unknown"
+            writer, gone = _holder(text)
+            if not gone:
+                raise StoreLockedError(writer) from None
+            lock_fd = os.open(lock_path, os.O_WRONLY | os.O_TRUNC)
+        with os.fdopen(lock_fd, "w") as f:
+            json.dump({"host": os.uname().nodename, "pid": os.getpid(), "writer": writer_id}, f)
+    finally:
         os.close(fd)
+    try:
         yield
     finally:
-        try:
-            lock_path.unlink()
-        except FileNotFoundError:
-            pass
+        lock_path.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# The head and the Store
+
+
+def _read_generation(root: Path) -> int:
+    """The generation in the store's head file; 0 when there is none."""
+    try:
+        digits = (root / HEAD_FILE).read_bytes().strip()
+    except (FileNotFoundError, NotADirectoryError):
+        return 0
+    if not digits.isdigit():
+        raise StoreCorruptError(HEAD_FILE, "not a generation")
+    return int(digits)
+
+
+def _write_head(root: Path, generation: int) -> None:
+    """Rewrite the head in place by one write of a fixed width, so a killed
+    writer leaves the old or the new generation, and no rename makes the file
+    system flush. A store's first head is renamed into place."""
+    data = b"%020d\n" % generation
+    try:
+        fd = os.open(root / HEAD_FILE, os.O_WRONLY)
+    except FileNotFoundError:
+        _replace(root / HEAD_FILE, data)
+        return
+    try:
+        os.pwrite(fd, data, 0)
+    finally:
+        os.close(fd)
+
+
+class Store:
+    """One opened store root: the universe last read from or committed to
+    disk, the generation the head held when it was read, and the SHA-256
+    state ``universe_digest`` keeps after its records. Records are
+    append-only, and the universe changes only by a commit, which keeps every
+    record, or by a reopen; so the kept state is extended by the records
+    commits add, and hashed in full again after a reopen or a catalog change.
+    """
+
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.reopen()
+
+    def reopen(self) -> None:
+        """Read the store again, without the lock. If a writer held the lock
+        or moved the head meanwhile, what was read may be torn: the generation
+        is then None, so the next commit is refused."""
+        generation = _read_generation(self.root)
+        writing = os.path.exists(self.root / LOCK_FILE)
+        self.universe = open_universe(self.root)
+        torn = writing or _read_generation(self.root) != generation
+        self.generation = None if torn else generation
+        self._kept = None  # (catalog mapping, records hashed, SHA-256 state after them)
+
+    def commit(self, u: Universe) -> None:
+        """Save ``u``, built from ``self.universe``, as the store's universe.
+        StoreChangedError, with nothing written, when another writer has
+        committed since the store was read."""
+        self.generation = save_universe(u, self.root, store=self)
+        self.universe = u
+
+    def _hashed_records(self):
+        """The SHA-256 state after the records of ``self.universe``."""
+        u, n = self.universe, len(self.universe.deployments)
+        if self._kept is not None and self._kept[0] is u.catalog and self._kept[1] <= n <= _MAX_KEPT_RECORDS:
+            catalog, hashed, state = self._kept
+            ids = [f"d{i:06d}" for i in range(hashed, n)]
+            records = [u.deployments.get(rid) for rid in ids]
+            if None not in records:  # the n ids are d000000..d{n-1}
+                if records:
+                    text = _members(zip(ids, [record.canonical_json for record in records]))
+                    state.update(("," + text if hashed else text).encode())
+                    self._kept = (catalog, n, state)
+                return state
+        state, extendable = _hash_records(u)
+        self._kept = (u.catalog, n, state) if extendable else None
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -450,56 +494,67 @@ def open_universe(path: str | Path) -> Universe:
 
 
 def save_universe(
-    u: Universe, path: str | Path | None = None, writer_id: str = "orya", *, base: Universe | None = None
-) -> None:
-    """Persist the universe under the single-writer lock.
-
+    u: Universe, path: str | Path | None = None, writer_id: str = "orya", *, store: Store | None = None
+) -> int:
+    """Persist the universe under the single-writer lock; return the head's
+    generation after the save. The head moves on before the first document
+    the save writes or removes, so a writer killed mid-save still moves it.
     Site states are committed before deployment records, so a crash between
     writes leaves at worst a record-less state change. Existing deployment
     records are never rewritten.
 
-    ``base`` is the universe the caller knows is on disk. A document whose
-    frozen value ``is`` the one in ``base`` (enterprise, a server's units, a
-    site state, a record whose id is in ``base.deployments``) is neither
-    serialised nor read. Any other record whose file exists raises
-    DuplicateUnitError before anything is written; with no ``base`` it is
-    skipped. Every other document is written (by write-and-rename) only when
-    its bytes differ from the file on disk.
+    Through a ``store`` the save is refused (StoreChangedError, nothing
+    written) unless the head holds the generation the store read; a document
+    whose frozen value ``is`` the one in the store's universe is not even
+    read, and the records it lacks are new. Without a store, a record whose
+    file exists is skipped. Any other document is written (by
+    write-and-rename) only when its bytes differ from the file on disk.
     """
     root = Path(path) if path is not None else u.root
     if root is None:
         raise ValueError("universe has no root path")
     root.mkdir(parents=True, exist_ok=True)
     with store_lock(root, writer_id):
+        generation, moved = _read_generation(root), []
+        if store is not None and store.generation != generation:
+            raise StoreChangedError(f"store moved to generation {generation} since it was read")
+
+        def change() -> None:
+            """Move the head on, once, before the save's first change."""
+            if not moved:
+                moved.append(_write_head(root, generation + 1))
+
+        base = store.universe if store is not None else None
         dep_dir = root / "deployments"
-        dep_dir.mkdir(parents=True, exist_ok=True)
+        dep_dir.mkdir(exist_ok=True)
         if base is None:
             existing = set(os.listdir(dep_dir))
             new_records = [rid for rid in u.deployments if f"{rid}.json" not in existing]
         else:
             new_records = [rid for rid in u.deployments if rid not in base.deployments]
-            for rid in new_records:
-                if (dep_dir / f"{rid}.json").exists():
-                    raise DuplicateUnitError(f"deployment record {rid!r} already exists")
 
         if base is None or u.enterprise is not base.enterprise:
-            _write_json(root / "enterprise.json", u.enterprise.canonical_json)
+            _write_json(root / "enterprise.json", u.enterprise.canonical_json, change)
 
         catalog_dir = root / "catalog"
         for server, units in u.catalog.items():
             if base is not None and base.catalog.get(server) is units:
                 continue
             server_dir = catalog_dir / server
-            server_dir.mkdir(parents=True, exist_ok=True)
+            if not server_dir.is_dir():  # a server with no units is still read
+                change()
+                server_dir.mkdir(parents=True)
             wanted = {f"{unit.id}.json" for unit in units}
             for stale in server_dir.glob("*.json"):
                 if stale.name not in wanted:
+                    change()
                     stale.unlink()
             for unit in units:
-                _write_json(server_dir / f"{unit.id}.json", unit.canonical_json)
+                _write_json(server_dir / f"{unit.id}.json", unit.canonical_json, change)
         if catalog_dir.is_dir() and (base is None or u.catalog.keys() != base.catalog.keys()):
             for server_dir in catalog_dir.iterdir():
                 if server_dir.is_dir() and server_dir.name not in u.catalog:
+                    change()
                     for stale in server_dir.glob("*.json"):
                         stale.unlink()
                     server_dir.rmdir()
@@ -510,21 +565,27 @@ def save_universe(
                 continue
             site_dir = sites_dir / site
             site_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(site_dir / "state.json", state.canonical_json)
+            _write_json(site_dir / "state.json", state.canonical_json, change)
 
         for rid in new_records:  # append-only
-            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].canonical_json)
+            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].canonical_json, change)
+    return generation + len(moved)
 
 
-def _write_json(path: Path, text: str) -> None:
+def _write_json(path: Path, text: str, change) -> None:
     """Write a document's canonical ``text`` and a newline, unless the file
-    already holds exactly these bytes."""
+    already holds exactly these bytes; ``change()`` is called first."""
     data = (text + "\n").encode()
     try:
         if path.read_bytes() == data:
             return
     except OSError:
         pass  # missing or unreadable: write it
+    change()
+    _replace(path, data)
+
+
+def _replace(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_bytes(data)
     tmp.replace(path)

@@ -158,7 +158,7 @@ class TestLifecycleCommands:
         run(store, "deploy", "--product", "editor", "--site", "site1")
         capsys.readouterr()
 
-        def disk_full(path, doc):
+        def disk_full(path, *args):
             raise OSError("disk full")
 
         monkeypatch.setattr(universe_mod, "_write_json", disk_full)

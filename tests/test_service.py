@@ -10,7 +10,7 @@ from orya import service as svc
 from orya import universe as universe_mod
 from orya.process import MAX_PROGRESS_POINTS, Activity, ActivityKind, ProcessDef, Seq
 from orya.units import unit_to_json
-from orya.universe import empty_universe, open_universe, save_universe, universe_digest
+from orya.universe import HEAD_FILE, empty_universe, open_universe, save_universe, universe_digest
 from orya.values import canonical_json
 from test_universe import count_writes, oracle_digest, stat_snapshot
 
@@ -485,14 +485,15 @@ class TestOneAnswerPerLine:
 def written_by(engine, req, monkeypatch):
     """The documents ``req`` serialised, checked to be exactly those it created
     or changed on disk."""
-    before = stat_snapshot(engine.store)
+    root = engine.store.root
+    before = stat_snapshot(root)
     with monkeypatch.context() as patch:
         serialised = count_writes(patch)
         resp = engine.handle(req)
     assert resp["ok"] and not resp.get("refusal"), resp
-    after = stat_snapshot(engine.store)
+    after = stat_snapshot(root)
     changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
-    assert sorted(p.relative_to(engine.store).as_posix() for p in serialised) == changed
+    assert sorted(p.relative_to(root).as_posix() for p in serialised) == changed
     return changed
 
 
@@ -557,26 +558,29 @@ class TestCommitWritesWhatChanged:
             assert universe_digest(open_universe(store)) == universe_digest(engine.universe), req
         assert done >= 15
 
-    def test_failed_save_reloads_the_engine(self, store, monkeypatch):
+    def test_a_failed_save_moves_the_head_and_the_next_op_reads_again(self, store, monkeypatch):
         engine = deployed_engine(store)
+        held = engine.universe
         write_json = universe_mod._write_json
         calls = []
 
-        def fail_after_first(path, doc):
+        def fail_after_first(path, *args):
             calls.append(path)
             if len(calls) > 1:
                 raise OSError("disk full")
-            write_json(path, doc)
+            write_json(path, *args)
 
         monkeypatch.setattr(universe_mod, "_write_json", fail_after_first)
         with pytest.raises(OSError):
             engine.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.2"})
         monkeypatch.setattr(universe_mod, "_write_json", write_json)
 
-        # The state was written, its record was not: the engine holds what is on disk.
+        # The state was written, its record was not, and the head moved first.
         assert [p.name for p in calls] == ["state.json", "d000001.json"]
-        assert universe_digest(engine.universe) == universe_digest(open_universe(store))
-        assert "d000001" not in engine.universe.deployments
+        assert engine.universe is held
+        assert int((store / HEAD_FILE).read_text()) == engine.store.generation + 1
+        assert "d000001" not in open_universe(store).deployments
+        # So the next commit is refused once; the engine reads the store again.
         resp = engine.handle({"op": "activate", "site": "site1", "unit": "editor-1.2"})
         assert resp["ok"] and resp["report"]["entries"][0]["record"] == "d000001"
         assert universe_digest(engine.universe) == universe_digest(open_universe(store))
@@ -636,18 +640,45 @@ class TestTwoEngines:
         a, b = svc.LocalEngine(store), svc.LocalEngine(store)
         resp = a.handle({"op": "deactivate", "site": "site1", "unit": "editor-1.0"})
         assert resp["report"]["entries"][0]["record"] == "d000002"
-        site1 = (store / "sites" / "site1" / "state.json").read_bytes()
-
-        resp = b.handle({"op": "deactivate", "site": "site2", "unit": "editor-1.0"})
-        assert resp == error("DUPLICATE_UNIT", "deployment record 'd000002' already exists")
-        assert (store / "sites" / "site1" / "state.json").read_bytes() == site1
-        assert universe_digest(b.universe) == universe_digest(open_universe(store))
 
         resp = b.handle({"op": "deactivate", "site": "site2", "unit": "editor-1.0"})
         assert resp["ok"] and resp["report"]["entries"][0]["record"] == "d000003"
         on_disk = open_universe(store)
         assert universe_digest(on_disk) == universe_digest(b.universe)
         assert [du.state for du in on_disk.site_states["site1"].deployed_units] == ["INSTALLED"]
+        assert [du.state for du in on_disk.site_states["site2"].deployed_units] == ["INSTALLED"]
+
+    def test_stale_set_prop_keeps_the_other_engines_write(self, store):
+        a, b = svc.LocalEngine(store), svc.LocalEngine(store)
+        assert set_prop(a, site="site1", name="ram", value="7GB")["ok"]
+        assert set_prop(b, site="site2", name="ram", value="9GB")["ok"]
+        props = {m.id: m.properties for m in open_universe(store).enterprise.machines}
+        assert str(props["site1"]["ram"]) == "7GB"
+        assert str(props["site2"]["ram"]) == "9GB"
+
+    def test_stale_publish_keeps_the_other_engines_unit(self, store):
+        a, b = svc.LocalEngine(store), svc.LocalEngine(store)
+        assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.2")})["ok"]
+        assert b.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.3")})["ok"]
+        units = [unit.id for unit in open_universe(store).catalog["srv1"]]
+        assert units == ["editor-1.2", "editor-1.3"]
+        assert universe_digest(b.universe) == universe_digest(open_universe(store))
+
+    def test_a_second_refusal_answers_locked_with_nothing_written(self, store, monkeypatch):
+        a, b = svc.LocalEngine(store), svc.LocalEngine(store)
+        reopen = b.store.reopen
+
+        def reopen_then_another_commit():
+            reopen()
+            assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.0", ())})["ok"]
+
+        monkeypatch.setattr(b.store, "reopen", reopen_then_another_commit)
+        assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest()})["ok"]
+        resp = b.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.3")})
+        assert resp["error"]["code"] == "LOCKED"
+        # b wrote nothing: the head is the one a's last commit left.
+        assert int((store / HEAD_FILE).read_text()) == a.store.generation
+        assert [unit.id for unit in open_universe(store).catalog["srv1"]] == ["editor-1.0", "editor-1.2"]
 
 
 class TestTransports:

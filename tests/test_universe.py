@@ -17,12 +17,13 @@ from orya import universe as universe_mod
 from orya.cli import main
 from orya.errors import (
     DuplicateUnitError,
+    StoreChangedError,
     StoreCorruptError,
     StoreLockedError,
     UnknownTargetError,
     UnknownUnitError,
 )
-from orya.model import ClientSiteState, DeployedUnit
+from orya.model import ClientSiteState, DeployedUnit, enterprise_to_json, site_state_to_json
 from orya.process import (
     PRESENT,
     ActivityKind,
@@ -40,7 +41,9 @@ from orya.units import unit_to_json
 from orya.universe import (
     DeployMode,
     DeploymentRecord,
+    HEAD_FILE,
     LOCK_FILE,
+    Store,
     cross_validate,
     empty_universe,
     init_universe,
@@ -53,7 +56,6 @@ from orya.universe import (
     set_site_state,
     store_lock,
     universe_digest,
-    universe_to_json,
 )
 from orya.values import Version
 
@@ -357,6 +359,20 @@ SCENARIO_REPORTS = {
 }
 
 
+def universe_to_json(u):
+    return {
+        "enterprise": enterprise_to_json(u.enterprise),
+        "catalog": {
+            server: [unit_to_json(unit) for unit in units]
+            for server, units in sorted(u.catalog.items())
+        },
+        "sites": {
+            site: site_state_to_json(state) for site, state in sorted(u.site_states.items())
+        },
+        "deployments": {rid: record.to_json() for rid, record in sorted(u.deployments.items())},
+    }
+
+
 def oracle_digest(u):
     """Single-pass reference: hash the canonical text of the whole store."""
     text = json.dumps(universe_to_json(u), sort_keys=True, separators=(",", ":"))
@@ -447,28 +463,21 @@ def digest_store(root, seed):
 
 
 class TestWarmDigest:
-    """``universe_digest`` extends the kept SHA-256 state by the records added
-    since; whatever a sequence of ops does, it equals the single-pass oracle."""
+    """A ``Store`` extends the SHA-256 state it keeps by the records its
+    commits add; whatever a sequence of ops does, the digest equals the
+    single-pass oracle."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_digest_matches_oracle_after_every_op(self, tmp_path, monkeypatch, seed):
-        extended = []
-        extend_slot = universe_mod._extend_slot
-
-        def spy(u):
-            slot = extend_slot(u)
-            extended.append(slot is not None)
-            return slot
-
-        monkeypatch.setattr(universe_mod, "_extend_slot", spy)
+        full = count_full_passes(monkeypatch)
         rng = random.Random(seed)
         engines = [digest_store(tmp_path / name, f"{seed}{name}") for name in "ab"]
         current = 0
         checked = 0
 
-        def check(u):
+        def check(u, store):
             nonlocal checked
-            assert universe_digest(u) == oracle_digest(u)
+            assert universe_digest(u, store) == oracle_digest(u)
             checked += 1
 
         for step in range(80):
@@ -483,7 +492,7 @@ class TestWarmDigest:
             ]
             op = rng.choice(
                 ["deploy", "toggle", "toggle", "set_prop", "publish", "unpublish",
-                 "failed_save", "reload", "swap", "odd_ids"]
+                 "failed_save", "reopen", "swap", "odd_ids"]
             )
             if op == "deploy" and published:
                 sites = rng.sample(["s0", "s1", "s2"], rng.randrange(1, 4))
@@ -505,19 +514,19 @@ class TestWarmDigest:
                 req = {"op": "unpublish", "server": "srv1", "unit": rng.choice(published).id}
                 assert engine.handle(req)["ok"]
             elif op == "failed_save":
-                lock = engine.store / LOCK_FILE
+                lock = engine.store.root / LOCK_FILE
                 lock.write_text("other")
                 req = {"op": "set_prop", "site": "s0", "name": "ram", "value": rng.choice(["2GB", "8GB"])}
                 assert engine.handle(req)["error"]["code"] == "LOCKED"
                 lock.unlink()
-                assert engine.universe is not u  # reloaded from the store
-            elif op == "reload":
-                engine.reload()
+                assert engine.universe is u  # nothing was written
+            elif op == "reopen":
+                engine.store.reopen()
             elif op == "swap" and u.deployments:
                 rid = rng.choice(sorted(u.deployments))
                 record = u.deployments[rid]
                 swapped = {**u.deployments, rid: replace(record, finished_at=record.finished_at + 1)}
-                check(replace(u, deployments=swapped))
+                check(replace(u, deployments=swapped), engine.store)
             elif op == "odd_ids" and u.deployments:
                 record = u.deployments[max(u.deployments)]
                 odd = {**u.deployments, "x-1": record}
@@ -527,15 +536,29 @@ class TestWarmDigest:
                     {**u.deployments, "d1000000": record},
                     {rid: r for rid, r in u.deployments.items() if r is not record},
                 ):
-                    check(replace(u, deployments=deployments))
-            check(engine.universe)
-            check(engine.universe)
+                    check(replace(u, deployments=deployments), engine.store)
+            check(engine.universe, engine.store)
+            check(engine.universe, engine.store)
         assert all(e.universe.deployments for e in engines)
-        # Switches, catalog changes, reloads and odd universes hash in full;
-        # a good share of digests still extended the kept state.
-        assert checked / 4 < sum(extended) < checked
+        # Reopens, catalog changes and universes that are not a store's hash
+        # in full; a good share of digests still extended a store's state.
+        assert checked / 4 < checked - len(full) < checked
 
-    def test_a_warm_digest_feeds_only_the_new_records(self, monkeypatch):
+    def test_two_stores_in_one_process_keep_their_own_state(self, tmp_path, monkeypatch):
+        engines = [digest_store(tmp_path / name, name) for name in "ab"]
+        for engine in engines:
+            assert engine.handle({"op": "deploy", "product": "p0", "sites": ["s0", "s1", "s2"]})["ok"]
+            assert engine.handle({"op": "digest"})["ok"]
+        full = count_full_passes(monkeypatch)
+        for step in range(4):
+            for engine in engines:
+                toggle = "deactivate" if step % 2 == 0 else "activate"
+                unit = engine.universe.site_states["s1"].deployed_units[0].unit_id
+                assert engine.handle({"op": toggle, "site": "s1", "unit": unit})["ok"]
+                assert engine.handle({"op": "digest"})["digest"] == oracle_digest(engine.universe)
+        assert full == []
+
+    def test_a_warm_digest_feeds_only_the_new_records(self, tmp_path, monkeypatch):
         fed = []
 
         class CountingSha256:
@@ -554,15 +577,30 @@ class TestWarmDigest:
                 return self.state.hexdigest()
 
         monkeypatch.setattr(universe_mod, "hashlib", SimpleNamespace(sha256=CountingSha256))
-        u = populated_universe(None)
+        u = populated_universe(tmp_path / "u")
         for n in range(1, 40):
             u = record_deployment(u, make_record(f"d{n:06d}", unit=f"u-{n}"))
-        assert universe_digest(u) == oracle_digest(u)
+        save_universe(u)
+        store = Store(tmp_path / "u")
+        assert universe_digest(store.universe, store) == oracle_digest(u)
         hashed = sum(len(record.canonical_json) for record in u.deployments.values())
-        u = record_deployment(u, make_record(u.next_deployment_id(), unit="u-new"))
+        store.commit(record_deployment(store.universe, make_record(u.next_deployment_id(), unit="u-new")))
         fed.clear()
-        assert universe_digest(u) == oracle_digest(u)
-        assert len(u.deployments["d000040"].canonical_json) < sum(fed) < hashed
+        assert universe_digest(store.universe, store) == oracle_digest(store.universe)
+        assert len(store.universe.deployments["d000040"].canonical_json) < sum(fed) < hashed
+
+
+def count_full_passes(monkeypatch):
+    """Record each universe ``universe_digest`` hashes from the start."""
+    full = []
+    hash_records = universe_mod._hash_records
+
+    def spy(u):
+        full.append(u)
+        return hash_records(u)
+
+    monkeypatch.setattr(universe_mod, "_hash_records", spy)
+    return full
 
 
 class TestWriteRules:
@@ -655,66 +693,76 @@ def count_writes(monkeypatch):
     written = []
     write_json = universe_mod._write_json
 
-    def spy(path, doc):
+    def spy(path, *args):
         written.append(path)
-        write_json(path, doc)
+        write_json(path, *args)
 
     monkeypatch.setattr(universe_mod, "_write_json", spy)
     return written
 
 
 class TestSaveOverBase:
+    """A commit saves over the store's universe, the base it read."""
+
     def test_noop_save_serialises_nothing(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        save_universe(populated_universe(root))
+        store = Store(root)
         before = stat_snapshot(root)
+        head = (root / HEAD_FILE).read_bytes()
         written = count_writes(monkeypatch)
-        save_universe(u, base=u)
+        store.commit(store.universe)
         assert written == []
         assert stat_snapshot(root) == before
+        assert (root / HEAD_FILE).read_bytes() == head  # nothing written, so the head stays
 
     def test_only_changed_values_are_serialised(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        save_universe(populated_universe(root))
+        store = Store(root)
         written = count_writes(monkeypatch)
-        changed = set_site_state(u, ClientSiteState(machine_id="site1"))
+        changed = set_site_state(store.universe, ClientSiteState(machine_id="site1"))
         changed = record_deployment(changed, make_record("d000001"))
-        save_universe(changed, base=u)
+        store.commit(changed)
         assert [p.relative_to(root).as_posix() for p in written] == [
             "sites/site1/state.json",
             "deployments/d000001.json",
         ]
         written.clear()
         published = publish_unit(changed, "srv1", make_unit("u-3"))
-        save_universe(published, base=changed)
+        store.commit(published)
         # The server's units tuple changed, so its units are compared again.
         assert sorted(p.name for p in written) == ["u-1.json", "u-2.json", "u-3.json"]
         assert universe_digest(open_universe(root)) == universe_digest(published)
 
     def test_unpublished_server_is_swept(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
-        emptied = replace(u, catalog={})
-        save_universe(emptied, base=u)
+        save_universe(populated_universe(root))
+        store = Store(root)
+        store.commit(replace(store.universe, catalog={}))
         assert not (root / "catalog" / "srv1").exists()
         assert open_universe(root).catalog == {}
 
     def test_new_record_whose_file_exists_is_refused(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        save_universe(populated_universe(root))
+        store = Store(root)
         # Another writer appends d000001 first.
         save_universe(record_deployment(open_universe(root), make_record("d000001")))
         before = stat_snapshot(root)
-        stale = set_site_state(u, ClientSiteState(machine_id="site1"))
+        head = (root / HEAD_FILE).read_bytes()
+        stale = set_site_state(store.universe, ClientSiteState(machine_id="site1"))
         stale = record_deployment(stale, make_record("d000001", unit="u-2"))
-        with pytest.raises(DuplicateUnitError):
-            save_universe(stale, base=u)
-        assert stat_snapshot(root) == before  # refused before any document is written
+        with pytest.raises(StoreChangedError) as exc:
+            store.commit(stale)
+        assert exc.value.code == "LOCKED"
+        # Refused by the head's generation before any document is written.
+        assert stat_snapshot(root) == before
+        assert (root / HEAD_FILE).read_bytes() == head
         assert not (root / LOCK_FILE).exists()
+        store.reopen()
+        with pytest.raises(DuplicateUnitError):
+            record_deployment(store.universe, make_record("d000001", unit="u-2"))
 
 
 def record_running(rid, process, claimed=None, unit="u-1"):
