@@ -13,9 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import service as svc
+from .engine import USAGE_ERROR_CODES, LocalEngine
 from .errors import OryaError
-from .simharness import run_scenario
 from .universe import ENV_UNIVERSE, init_universe
 from .values import value_from_json
 
@@ -167,7 +166,7 @@ def _emit(response: dict, fmt: str) -> int:
         _emit_text(response)
     if not response.get("ok", False):
         code = response.get("error", {}).get("code", "ERROR")
-        return 2 if code in svc.USAGE_ERROR_CODES else 1
+        return 2 if code in USAGE_ERROR_CODES else 1
     return 1 if response.get("refusal") else 0
 
 
@@ -234,7 +233,11 @@ def main(argv: list[str] | None = None) -> int:
                 save_universe(u)
             return _emit({"ok": True, "initialized": str(args.universe)}, args.format)
 
+        # The simulated fleet and the socket transport are imported only by
+        # the commands that use them, so a cold read process never loads them.
         if args.command == "simulate":
+            from .simharness import run_scenario
+
             report = run_scenario(args.scenario)
             response = {"ok": True, "refusal": not report.passed}
             response.update(report.to_json())
@@ -243,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "serve":
             if not args.universe:
                 parser.error("--universe (or $ORYA_UNIVERSE) is required")
-            server = svc.ServiceServer(args.universe, args.listen)
+            from .service import ServiceServer
+
+            server = ServiceServer(args.universe, args.listen)
             print(f"listening on {server.address}", file=sys.stderr)
             try:
                 server.serve_forever()
@@ -253,12 +258,13 @@ def main(argv: list[str] | None = None) -> int:
 
         req = _request_for(args)
         if args.remote:
-            response = svc.request(args.remote, req)
+            from .service import request
+
+            response = request(args.remote, req)
         else:
             if not args.universe:
                 parser.error("--universe (or $ORYA_UNIVERSE) is required")
-            engine = svc.LocalEngine(args.universe)
-            response = engine.handle(req)
+            response = LocalEngine(args.universe).handle(req)
         return _emit(response, args.format)
 
     except _Usage as err:
@@ -267,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OryaError as err:
         print(f"error [{err.code}]: {err.message}", file=sys.stderr)
-        return 2 if err.code in svc.USAGE_ERROR_CODES else 1
+        return 2 if err.code in USAGE_ERROR_CODES else 1
     except (OSError, json.JSONDecodeError, ValueError) as err:
         print(f"orya: {err}", file=sys.stderr)
         return 2

@@ -34,14 +34,14 @@ from .process import (
     transition,
     validate_process,
 )
+from .report import FleetReport, SiteOutcome, status  # noqa: F401  (status: a read op)
 from .safety import SafetyPolicy, blocking_conflicts, check_removal_safety
-from .selection import SelectionReport, select_package
+from .selection import select_package
 from .units import PackagedUnit
 from .universe import (
     DeployMode,
     DeploymentRecord,
     Universe,
-    query_status,
     record_deployment,
     set_site_state,
 )
@@ -58,49 +58,6 @@ class DeployRequest:
     policy: SafetyPolicy = SafetyPolicy.REJECT
     dry_run: bool = False
     extra_filters: tuple[str, ...] = ()  # constraint text over candidate properties
-
-
-@dataclass(frozen=True)
-class SiteOutcome:
-    site_id: str
-    outcome: str  # DEPLOYED | SKIPPED | FAILED | ROLLED_BACK | WOULD_DEPLOY | ...
-    reason: str = ""
-    unit_id: str | None = None
-    record_id: str | None = None
-    selection: SelectionReport | None = None
-    conflicts: tuple = ()
-
-    def to_json(self) -> dict:
-        out = {"site": self.site_id, "outcome": self.outcome}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.unit_id:
-            out["unit"] = self.unit_id
-        if self.record_id:
-            out["record"] = self.record_id
-        if self.selection is not None:
-            out["selection"] = self.selection.to_json()
-        if self.conflicts:
-            out["conflicts"] = [c.to_json() for c in self.conflicts]
-        return out
-
-
-@dataclass(frozen=True)
-class FleetReport:
-    entries: tuple[SiteOutcome, ...] = ()
-
-    @property
-    def summary(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.entries:
-            counts[e.outcome] = counts.get(e.outcome, 0) + 1
-        return counts
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [e.to_json() for e in self.entries],
-            "summary": dict(sorted(self.summary.items())),
-        }
 
 
 @dataclass(frozen=True)
@@ -551,29 +508,3 @@ def _activation(u, site_id, unit_id, fleet, kind):
     du = _deployed_unit(fleet.sites[site_id].get_state(), unit_id)
     u, entry = _single_transition(u, fleet, site_id, du, kind, DeployMode.PUSH)
     return u, FleetReport((entry,))
-
-
-# ---------------------------------------------------------------------------
-# Status
-
-
-def status(
-    u: Universe,
-    site: str | None = None,
-    product: str | None = None,
-    outcome: str | None = None,
-    mode: str | None = None,
-) -> FleetReport:
-    """Read-only aggregation over deployment records."""
-    entries = []
-    for r in query_status(u, site=site, product=product, outcome=outcome, mode=mode):
-        entries.append(
-            SiteOutcome(
-                r.site_id,
-                r.trace.status.value,
-                reason=r.mode.value,
-                unit_id=r.unit_id,
-                record_id=r.id,
-            )
-        )
-    return FleetReport(tuple(entries))

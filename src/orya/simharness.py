@@ -518,7 +518,7 @@ def spawn_fleet(scenario: Scenario) -> tuple[Universe, Fleet]:
 
 def run_scenario(source: str | Path | dict) -> ScenarioReport:
     """Execute a scenario script and judge its expect clauses."""
-    from .service import ScenarioEngine  # service imports this module at load time
+    from .engine import ScenarioEngine  # the engine imports this module on first use
 
     scenario = (
         Scenario.from_json(source) if isinstance(source, dict) else load_scenario(source)

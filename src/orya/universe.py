@@ -7,12 +7,15 @@ document's canonical JSON (compact, sorted keys) and a newline::
     catalog/<server>/<unit>.json
     sites/<machine>/state.json
     deployments/<id>.json
+    deployments/index        one line per record: id, sha256 of its file, and
+                             the fields ``status`` reads (derived data)
     universe.head            the store's generation; 0 when absent
     universe.lock            (present only while a writer holds the store)
 
 Deployment records are append-only; they embed a full copy of the executed
 process so pull updates and reconfiguration survive catalog removal. Files
-pretty-printed by older versions open as they are.
+pretty-printed by older versions open as they are. No store file is read past
+``MAX_DOCUMENT_BYTES``.
 
 A save moves the head's generation before its first change. A ``Store`` is
 one opened root; a commit through it is refused, with nothing written, when
@@ -25,10 +28,18 @@ Cost model: a store call costs what changed, not the whole store.
   once. ``save_universe`` writes that text and ``universe_digest`` joins the
   same texts, so neither re-serialises a value, and a changed machine costs
   one machine's text.
+- ``open_universe`` reads and hashes every record file but decodes only the
+  records the index does not certify; a certified record keeps its file text
+  as its canonical JSON and decodes the rest of its body on first access. So a
+  cold ``status`` or ``digest`` decodes no record, and only a process that
+  reads a record's process or trace pays for that record.
 - A ``Store`` keeps the SHA-256 state after its records, and
   ``universe_digest`` of its universe feeds only the records its commits
   added since, then the enterprise and sites: its cost no longer grows with
   the record count. Any other universe is hashed in full.
+- A save appends the index lines of its new records with one write, and
+  neither reads back nor makes a directory for a document new to its
+  ``Store``'s universe.
 - ``save_universe`` and ``open_universe`` say which documents they skip.
 """
 
@@ -38,7 +49,6 @@ import fcntl
 import hashlib
 import json
 import os
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -68,6 +78,7 @@ from .process import (
     PRESENT,
     ExecutionTrace,
     ProcessDef,
+    TraceStatus,
     default_process_for,
     default_verify,
     process_from_json,
@@ -81,12 +92,24 @@ from .values import canonical_json, expect
 ENV_UNIVERSE = "ORYA_UNIVERSE"
 LOCK_FILE = "universe.lock"
 HEAD_FILE = "universe.head"
+INDEX_FILE = "index"  # in deployments/; no .json suffix, so never listed as a record
+
+# The largest store document open reads, in bytes; a larger one is CORRUPT.
+MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
+# The largest record index open reads, in bytes. Past it the index is ignored
+# and no line is added: every record is then decoded, and answers are the same.
+MAX_INDEX_BYTES = 64 * 1024 * 1024
 
 
 class DeployMode(str, Enum):
     PUSH = "PUSH"
     PULL = "PULL"
     RECONFIGURE = "RECONFIGURE"
+
+
+# The fields of a record that an index line does not hold; a record opened
+# through its line decodes them from its file text on first access.
+_BODY = ("process", "params", "trace", "started_at", "finished_at")
 
 
 @dataclass(frozen=True)
@@ -121,8 +144,36 @@ class DeploymentRecord:
         return canonical_json(self.to_json())
 
     @property
+    def outcome(self) -> str:
+        """The trace's status, as ``status`` prints it; a record not yet
+        decoded has it from its index line. (Not cached: on CPython 3.11 a
+        twelfth attribute moves a record's attributes into a dict of its own,
+        about 680 bytes more per record.)"""
+        line = self.__dict__.get("_outcome")
+        return self.trace.status.value if line is None else line
+
+    @property
     def process_matches_trace(self) -> bool:
         return self.process.digest == self.trace.process_digest
+
+    def __getattr__(self, name: str):
+        """Decode the body of a record opened through its index line (see
+        ``_unread_record``), check it as an open would, and keep it."""
+        tables = self.__dict__.get("_unread")
+        if tables is None or name not in _BODY:
+            raise AttributeError(name)
+        document = f"deployments/{self.id}"
+        full = _decode(self.canonical_json.encode(), f"{document}.json", record_from_json, *tables)
+        if (full.id, full.site_id, full.product_id, full.unit_id, full.outcome, full.mode) != (
+            self.id, self.site_id, self.product_id, self.unit_id, self.outcome, self.mode
+        ):
+            raise StoreCorruptError(document, "index line does not match record")
+        if not full.process_matches_trace:
+            raise StoreCorruptError(document, "process copy does not match trace digest")
+        for body in _BODY:
+            self.__dict__[body] = full.__dict__[body]
+        del self.__dict__["_unread"]
+        return self.__dict__[name]
 
 
 def record_from_json(doc: dict, processes: dict[str, ProcessDef], events: dict) -> DeploymentRecord:
@@ -249,7 +300,9 @@ def cross_validate(u: Universe) -> None:
             raise StoreCorruptError(f"deployments/{rid}", "record id mismatch")
         if record.site_id not in machines:
             raise StoreCorruptError(f"deployments/{rid}", f"unknown site {record.site_id!r}")
-        if not record.process_matches_trace:
+        # A record not yet decoded had this checked before its index line was
+        # written, and checks it again when its body is decoded.
+        if "_unread" not in record.__dict__ and not record.process_matches_trace:
             raise StoreCorruptError(f"deployments/{rid}", "process copy does not match trace digest")
 
 
@@ -365,13 +418,17 @@ class Store:
         torn = writing or _read_generation(self.root) != generation
         self.generation = None if torn else generation
         self._kept = None  # (catalog mapping, records hashed, SHA-256 state after them)
+        # Records no index line certified; the next commit adds lines for
+        # those whose files hold their canonical text. (Just after the open
+        # no record has been decoded, so a certified record is still unread.)
+        self._unlined = [rid for rid, r in self.universe.deployments.items() if "_unread" not in r.__dict__]
 
     def commit(self, u: Universe) -> None:
         """Save ``u``, built from ``self.universe``, as the store's universe.
         StoreChangedError, with nothing written, when another writer has
         committed since the store was read."""
         self.generation = save_universe(u, self.root, store=self)
-        self.universe = u
+        self.universe, self._unlined = u, []
 
     def _hashed_records(self):
         """The SHA-256 state after the records of ``self.universe``."""
@@ -406,40 +463,135 @@ def init_universe(path: str | Path) -> Universe:
     return u
 
 
-# Parsed records keyed by the exact bytes of their file. An entry lives only as
-# long as some Universe (or caller) holds its record, so the memo is bounded by
-# the live stores; a file whose bytes changed misses and is parsed afresh.
-_parsed_records: weakref.WeakValueDictionary[bytes, DeploymentRecord] = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _read_document(path: str | Path, document: str, decode, *args, memo=None):
-    """``decode(doc, *args)`` of the JSON object in the file at ``path``; any
-    fault in the file is StoreCorruptError naming ``document``. With a
-    ``memo``, a file whose bytes it holds is not parsed again."""
+def _read_file(path: str | Path, document: str) -> bytes:
+    """The bytes of a store file, read up to ``MAX_DOCUMENT_BYTES`` + 1; an
+    unreadable or larger file is StoreCorruptError naming ``document``."""
     try:
-        with open(path, "rb") as f:
-            data = f.read()
-        value = None if memo is None else memo.get(data)
-        if value is None:
-            value = decode(expect(json.loads(data.decode()), dict, "document"), *args)
-            if memo is not None:
-                memo[data] = value
-    except (OSError, ValueError, KeyError, ExpressionSyntaxError) as err:
+        with open(path, "rb", buffering=0) as f:
+            data = f.read(min(os.fstat(f.fileno()).st_size, MAX_DOCUMENT_BYTES) + 1)
+    except OSError as err:
         raise StoreCorruptError(document, str(err)) from None
-    return value
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise StoreCorruptError(document, f"larger than {MAX_DOCUMENT_BYTES} bytes")
+    return data
+
+
+def _decode(data: bytes, document: str, decode, *args):
+    """``decode(doc, *args)`` of the JSON object in ``data``; any fault is
+    StoreCorruptError naming ``document``."""
+    try:
+        return decode(expect(json.loads(data.decode()), dict, "document"), *args)
+    except (ValueError, KeyError, ExpressionSyntaxError) as err:
+        raise StoreCorruptError(document, str(err)) from None
+
+
+def _read_document(path: str | Path, document: str, decode, *args):
+    return _decode(_read_file(path, document), document, decode, *args)
+
+
+# ---------------------------------------------------------------------------
+# The record index: deployments/index, derived from the records and appended
+# to after them. A line is the canonical JSON of
+# [id, sha256 of the record file, site, product, unit, outcome, mode].
+
+_MODES = {m.value: m for m in DeployMode}
+_OUTCOMES = {s.value for s in TraceStatus}
+
+
+def _read_index(dep_dir: str | Path) -> dict[tuple[str, str], tuple | None]:
+    """The index's lines keyed by (id, sha256), each to its (site, product,
+    unit, outcome, mode); None where lines with the same key disagree. A
+    missing, unreadable or over-long index, and any line that is not a
+    well-formed entry (a torn last line, say), count as absent."""
+    try:
+        with open(os.path.join(dep_dir, INDEX_FILE), "rb", buffering=0) as f:
+            data = f.read(min(os.fstat(f.fileno()).st_size, MAX_INDEX_BYTES) + 1)
+    except OSError:
+        return {}
+    if len(data) > MAX_INDEX_BYTES:
+        return {}
+    raw = [line for line in data.split(b"\n") if line]
+    try:  # one parse of every line; a line that is not JSON sends it line by line
+        entries = json.loads(b"[" + b",".join(raw) + b"]")
+    except (ValueError, RecursionError):
+        entries = [_json_or_none(line) for line in raw]
+    lines: dict = {}
+    for entry in entries:
+        if (
+            type(entry) is list and len(entry) == 7 and all(type(v) is str for v in entry)
+            and entry[5] in _OUTCOMES and entry[6] in _MODES
+        ):
+            fields = tuple(entry[2:])
+            if lines.setdefault((entry[0], entry[1]), fields) != fields:
+                lines[(entry[0], entry[1])] = None
+    return lines
+
+
+def _json_or_none(data: bytes):
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _index_line(rid: str, record: DeploymentRecord, data: bytes) -> str:
+    """The index line of ``record`` stored as ``data`` under ``rid``; empty
+    when its decode would fail ``cross_validate``, so no line may stand in
+    for it."""
+    if record.id != rid or not record.process_matches_trace:
+        return ""
+    fields = [rid, hashlib.sha256(data).hexdigest(), record.site_id, record.product_id,
+              record.unit_id, record.outcome, record.mode.value]
+    return canonical_json(fields) + "\n"
+
+
+def _append_index(dep_dir: Path, text: str) -> None:
+    """Append ``text`` to the index by one O_APPEND write, after a newline
+    if a torn line ends the file. The index is derived: when it cannot be
+    written, or would grow past ``MAX_INDEX_BYTES``, later opens decode the
+    records it lacks."""
+    try:
+        fd = os.open(dep_dir / INDEX_FILE, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    except OSError:
+        return
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            text = "\n" + text
+        if size + len(text) <= MAX_INDEX_BYTES:
+            os.write(fd, text.encode())
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _unread_record(rid: str, fields: tuple, text: str, tables: tuple) -> DeploymentRecord:
+    """A record certified by its index line: id and the line's fields are
+    set, ``canonical_json`` is its file text, and the rest of its body is
+    decoded on first access with the open's sharing ``tables``."""
+    record = object.__new__(DeploymentRecord)
+    site, product, unit, outcome, mode = fields
+    record.__dict__.update(
+        id=rid, site_id=site, product_id=product, unit_id=unit, mode=_MODES[mode],
+        _outcome=outcome, canonical_json=text, _unread=tables,
+    )
+    return record
 
 
 def open_universe(path: str | Path) -> Universe:
     """Load and cross-validate every document in the store.
 
-    Every file is read on each call. The enterprise, catalog and site states
-    are parsed each time; a deployment record is parsed only when no live
-    record was parsed from the same file bytes, so a changed record file is
-    always parsed and checked again. Equal deployed units, process copies and
-    trace events decoded in this call share one value. ``cross_validate``
-    runs in full, and a process shared by many records is hashed once.
+    Every file is read on each call, up to ``MAX_DOCUMENT_BYTES``, and every
+    record file is hashed. The enterprise, catalog and site states are decoded
+    each time. A record whose sha256 and id agree with exactly one line of
+    ``deployments/index`` is not decoded: its site, product, unit, outcome and
+    mode come from the line, its ``canonical_json`` is its file text less the
+    newline, and the rest of its body is decoded and checked on first access.
+    Any other record is decoded and checked in full, through
+    ``record_from_json``. Equal deployed units, process copies and trace
+    events decoded for this open share one value. ``cross_validate`` runs in
+    full, and a process shared by many records is hashed once.
     """
     root = Path(path)
     if not root.is_dir():
@@ -460,11 +612,10 @@ def open_universe(path: str | Path) -> Universe:
                 for path in sorted(server_dir.glob("*.json"))
             )
 
-    # Tables local to this open: each distinct deployed unit, process copy and
+    # Tables of this open: each distinct deployed unit, process copy and
     # trace event is built once and shared by every document that holds it.
     units: dict = {}
-    processes: dict = {}
-    events: dict = {}
+    tables = ({}, {})  # processes and events, for record_from_json
 
     site_states: dict[str, ClientSiteState] = {}
     sites_dir = root / "sites"
@@ -480,13 +631,17 @@ def open_universe(path: str | Path) -> Universe:
     deployments: dict[str, DeploymentRecord] = {}
     dep_dir = os.path.join(root, "deployments")
     if os.path.isdir(dep_dir):
+        index = _read_index(dep_dir)
         for name in sorted(n for n in os.listdir(dep_dir) if n.endswith(".json")):
             # Keyed by file name, so a record copied over another fails
             # cross_validate's id check instead of silently replacing it.
-            deployments[name[: -len(".json")]] = _read_document(
-                os.path.join(dep_dir, name), f"deployments/{name}", record_from_json,
-                processes, events, memo=_parsed_records,
-            )
+            rid, document = name[: -len(".json")], f"deployments/{name}"
+            data = _read_file(os.path.join(dep_dir, name), document)
+            fields = index.get((rid, hashlib.sha256(data).hexdigest()))
+            if fields is not None and data.endswith(b"\n") and data.isascii():
+                deployments[rid] = _unread_record(rid, fields, data[:-1].decode(), tables)
+            else:
+                deployments[rid] = _decode(data, document, record_from_json, *tables)
 
     u = Universe(enterprise, catalog, site_states, deployments, root)
     cross_validate(u)
@@ -499,16 +654,23 @@ def save_universe(
     """Persist the universe under the single-writer lock; return the head's
     generation after the save. The head moves on before the first document
     the save writes or removes, so a writer killed mid-save still moves it.
-    Site states are committed before deployment records, so a crash between
-    writes leaves at worst a record-less state change. Existing deployment
+    Site states are committed before deployment records, and records before
+    their index lines, so a crash between writes leaves at worst a
+    record-less state change or records without lines. Existing deployment
     records are never rewritten.
 
     Through a ``store`` the save is refused (StoreChangedError, nothing
     written) unless the head holds the generation the store read; a document
     whose frozen value ``is`` the one in the store's universe is not even
-    read, and the records it lacks are new. Without a store, a record whose
-    file exists is skipped. Any other document is written (by
-    write-and-rename) only when its bytes differ from the file on disk.
+    read, and a record or site state that universe lacks is new, so it is
+    written without a read-back. Without a store, a record whose file exists
+    is skipped. Any other document is written (by write-and-rename) only when
+    its bytes differ from the file on disk.
+
+    The index gains one line per new record, and one per older record it
+    lacks (all lacking ones without a store, those the store's open found
+    uncertified with one) whose file holds exactly its canonical text. Lines
+    are appended, by one write, and do not move the head.
     """
     root = Path(path) if path is not None else u.root
     if root is None:
@@ -530,8 +692,11 @@ def save_universe(
         if base is None:
             existing = set(os.listdir(dep_dir))
             new_records = [rid for rid in u.deployments if f"{rid}.json" not in existing]
+            lined = {rid for rid, _ in _read_index(dep_dir)}
+            unlined = [rid for rid in u.deployments if rid not in lined and f"{rid}.json" in existing]
         else:
             new_records = [rid for rid in u.deployments if rid not in base.deployments]
+            unlined = [rid for rid in store._unlined if rid in u.deployments]
 
         if base is None or u.enterprise is not base.enterprise:
             _write_json(root / "enterprise.json", u.enterprise.canonical_json, change)
@@ -561,26 +726,43 @@ def save_universe(
 
         sites_dir = root / "sites"
         for site, state in u.site_states.items():
-            if base is not None and base.site_states.get(site) is state:
+            old = None if base is None else base.site_states.get(site)
+            if old is state:
                 continue
-            site_dir = sites_dir / site
-            site_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(site_dir / "state.json", state.canonical_json, change)
+            new = base is not None and old is None
+            if base is None or new:
+                (sites_dir / site).mkdir(parents=True, exist_ok=True)
+            _write_json(sites_dir / site / "state.json", state.canonical_json, change, new)
 
+        lines = []
         for rid in new_records:  # append-only
-            _write_json(dep_dir / f"{rid}.json", u.deployments[rid].canonical_json, change)
+            record = u.deployments[rid]
+            _write_json(dep_dir / f"{rid}.json", record.canonical_json, change, base is not None)
+            lines.append(_index_line(rid, record, (record.canonical_json + "\n").encode()))
+        for rid in unlined:
+            record = u.deployments[rid]
+            data = (record.canonical_json + "\n").encode()
+            try:
+                if _read_file(dep_dir / f"{rid}.json", rid) == data:
+                    lines.append(_index_line(rid, record, data))
+            except StoreCorruptError:
+                pass  # unreadable or too long: it stays without a line
+        if any(lines):
+            _append_index(dep_dir, "".join(lines))
     return generation + len(moved)
 
 
-def _write_json(path: Path, text: str, change) -> None:
+def _write_json(path: Path, text: str, change, new: bool = False) -> None:
     """Write a document's canonical ``text`` and a newline, unless the file
-    already holds exactly these bytes; ``change()`` is called first."""
+    already holds exactly these bytes; ``change()`` is called first. A
+    ``new`` document is known to be absent, so it is not read first."""
     data = (text + "\n").encode()
-    try:
-        if path.read_bytes() == data:
-            return
-    except OSError:
-        pass  # missing or unreadable: write it
+    if not new:
+        try:
+            if path.read_bytes() == data:
+                return
+        except OSError:
+            pass  # missing or unreadable: write it
     change()
     _replace(path, data)
 
@@ -670,7 +852,7 @@ def query_status(
             continue
         if product is not None and r.product_id != product:
             continue
-        if outcome is not None and r.trace.status.value != outcome:
+        if outcome is not None and r.outcome != outcome:
             continue
         if mode is not None and r.mode.value != mode:
             continue

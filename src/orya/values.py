@@ -172,8 +172,12 @@ def property_map_to_json(props: dict[str, PropertyValue]) -> dict:
     return {name: value_to_json(props[name]) for name in sorted(props)}
 
 
+# What json.dumps(doc, sort_keys=True, separators=(",", ":")) builds per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc) -> str:
     """Compact JSON text with sorted keys. Decoded documents get the same text
     only when they are the same JSON value: ``1``, ``1.0`` and ``true`` stay
     apart, though Python counts them equal."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import orya
 from conftest import make_enterprise, make_unit
 from orya import service as svc
 from orya.cli import _emit, main
@@ -226,6 +230,22 @@ class TestStatusAndDigest:
     def test_text_format_runs(self, store, capsys):
         assert run(store, "digest", fmt="text") == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("command", [["status", "--site", "site1"], ["digest"]])
+    def test_a_read_loads_neither_the_push_path_nor_the_transport(self, store, tmp_path, capsys, command):
+        publish_editor(store, tmp_path, capsys)
+        run(store, "deploy", "--product", "editor", "--group", "all")
+        probe = (
+            "import sys\n"
+            "from orya.cli import main\n"
+            f"code = main(['--universe', {str(store)!r}, '--format', 'json', *{command!r}])\n"
+            "loaded = {'orya.orchestrator', 'orya.selection', 'orya.simharness', 'orya.service', 'socketserver'}\n"
+            "print(code, sorted(loaded & set(sys.modules)), file=sys.stderr)\n"
+        )
+        src = str(Path(orya.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60)
+        assert out.stderr.strip().splitlines()[-1] == "0 []"
 
 
 class TestSimulate:

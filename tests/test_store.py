@@ -1,12 +1,16 @@
-"""The head and the lock of a store, across engines and processes.
+"""The head, the lock and the record index of a store, across engines and
+processes.
 
 Every write moves the head's generation before its first document, and a
 commit through a ``Store`` is refused when the head moved since the store
-was read. A lock whose holder died on this host is reclaimed. Child
-processes are started by ``spawn`` and are never more than four.
+was read. A lock whose holder died on this host is reclaimed. A record that
+one index line certifies is not decoded at open, and any damage to the index
+only sends records back to a full decode. Child processes are started by
+``spawn`` and are never more than four.
 """
 
 import fcntl
+import hashlib
 import json
 import multiprocessing
 import os
@@ -22,22 +26,32 @@ from pathlib import Path
 import pytest
 
 from conftest import make_enterprise, make_unit
+from orya import orchestrator as orch
+from orya import simharness
 from orya import universe as universe_mod
+from orya.cli import main
 from orya.errors import StoreChangedError, StoreCorruptError, StoreLockedError
+from orya.model import ClientSiteState, DeployedUnit
 from orya.service import LocalEngine
 from orya.units import unit_to_json
 from orya.universe import (
     HEAD_FILE,
+    INDEX_FILE,
     LOCK_FILE,
     Store,
     empty_universe,
     open_universe,
     publish_unit,
+    record_deployment,
+    record_from_json,
+    remove_unit,
     save_universe,
+    set_site_state,
     store_lock,
     universe_digest,
 )
-from test_universe import oracle_digest
+from orya.values import Version
+from test_universe import SCENARIO_DIR, make_record, oracle_digest
 
 SPAWN = multiprocessing.get_context("spawn")
 TIMEOUT = 60  # seconds any child or pool may take
@@ -108,6 +122,17 @@ def die_after_first_document(root, site):
             os._exit(3)
 
     universe_mod._replace = dying
+    LocalEngine(root).handle({"op": "deactivate", "site": site, "unit": "u-1"})
+
+
+def die_before_index_lines(root, site):
+    """Deactivate u-1 on ``site``, but exit the process after the save has
+    written its record and before it appends the record's index line."""
+
+    def dying(dep_dir, text):
+        os._exit(3)
+
+    universe_mod._append_index = dying
     LocalEngine(root).handle({"op": "deactivate", "site": site, "unit": "u-1"})
 
 
@@ -343,3 +368,274 @@ def test_concurrent_writers_lose_no_committed_op(tmp_path):
             assert machines[site].properties.get(f"w{worker}") == last.get(site), (worker, site)
 
     assert universe_digest(open_universe(root)) == oracle_digest(after)
+
+
+# -- the record index -----------------------------------------------------------
+
+
+def index_of(root):
+    """The index's lines, each parsed."""
+    text = (root / "deployments" / INDEX_FILE).read_text()
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def decoded(root, rid):
+    """The record in its file, decoded in full."""
+    return record_from_json(json.loads((root / "deployments" / f"{rid}.json").read_text()), {}, {})
+
+
+def count_decodes(monkeypatch):
+    """Count the records decoded in full (``record_from_json`` calls)."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0]["id"])
+        return record_from_json(*args)
+
+    monkeypatch.setattr(universe_mod, "record_from_json", spy)
+    return calls
+
+
+def assert_index_matches_records(root):
+    """Every record has exactly one line, and every field of it is the
+    decoded record's field."""
+    lines = index_of(root)
+    rids = sorted(p.name[: -len(".json")] for p in (root / "deployments").glob("*.json"))
+    assert sorted(line[0] for line in lines) == rids
+    for rid, sha, site, product, unit, outcome, mode in lines:
+        record = decoded(root, rid)
+        data = (root / "deployments" / f"{rid}.json").read_bytes()
+        assert sha == hashlib.sha256(data).hexdigest()
+        assert [rid, site, product, unit, outcome, mode] == [
+            record.id, record.site_id, record.product_id, record.unit_id,
+            record.trace.status.value, record.mode.value,
+        ]
+
+
+def two_site_store(root):
+    """Sites s0-s2 running u-1 (three push records), then u-1 deactivated
+    and activated again on s1 and s2: seven records, each with its line."""
+    engine = small_store(root, sites=3)
+    for site in ("s1", "s2"):
+        assert engine.handle({"op": "deactivate", "site": site, "unit": "u-1"})["ok"]
+        assert engine.handle({"op": "activate", "site": site, "unit": "u-1"})["ok"]
+    assert len(engine.universe.deployments) == 7
+    return engine
+
+
+def answers(root, capsys):
+    """What cold ``status`` of every site and ``digest`` processes print."""
+    out = []
+    for args in (["status", "--site", "s0"], ["status", "--site", "s1"], ["status"], ["digest"]):
+        main(["--universe", str(root), "--format", "json", *args])
+        out.append(capsys.readouterr().out)
+    return out
+
+
+class TestRecordIndex:
+    def test_cold_status_and_digest_decode_no_record(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "u"
+        two_site_store(root)
+        full = answers(root, capsys)
+        decodes = count_decodes(monkeypatch)
+        assert answers(root, capsys) == full
+        assert decodes == []
+        (root / "deployments" / INDEX_FILE).unlink()
+        assert answers(root, capsys) == full
+        assert len(decodes) == 4 * 7
+
+    def test_lines_match_the_scenario_stores(self, tmp_path, monkeypatch):
+        final = []
+        monkeypatch.setattr(simharness, "universe_digest", lambda u: final.append(u) or universe_digest(u))
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            simharness.run_scenario(path)
+            root = tmp_path / path.stem
+            save_universe(final[-1], root)
+            assert_index_matches_records(root)
+            assert universe_digest(open_universe(root)) == oracle_digest(final[-1])
+
+    def test_lines_match_a_churned_store(self, tmp_path, monkeypatch):
+        rng = random.Random(9)
+        root = tmp_path / "u"
+        sites = {f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(3)}
+        u = replace(empty_universe(root), enterprise=make_enterprise(sites))
+        save_universe(u)
+        for step in range(80):
+            op = rng.choice(("publish", "remove", "deploy", "record"))
+            published = u.catalog.get("srv1", ())
+            if op == "publish":
+                unit = make_unit(f"u{step:03d}", product=f"p{rng.randrange(3)}", resources=[("bin", 1, "x")])
+                u = publish_unit(u, "srv1", unit)
+            elif op == "remove" and published:
+                u = remove_unit(u, "srv1", rng.choice(published).id)
+            elif op == "deploy" and published:
+                request = orch.DeployRequest(target=(rng.choice(sorted(sites)),), product_id=rng.choice(published).product_id)
+                u, _ = orch.push_deploy(u, request, simharness.build_fleet(u))
+            elif op == "record":
+                u = record_deployment(u, make_record(u.next_deployment_id(), site=rng.choice(sorted(sites))))
+            save_universe(u)
+            u = open_universe(root)
+        assert len(u.deployments) > 10
+        assert_index_matches_records(root)
+        oracle = oracle_digest(u)
+        decodes = count_decodes(monkeypatch)
+        assert universe_digest(open_universe(root)) == oracle
+        assert decodes == []
+
+    @pytest.mark.parametrize(
+        "damage", ["missing", "torn last line", "line of a missing record", "disagreeing hash",
+                   "duplicate lines", "conflicting lines", "not JSON", "over-long"]
+    )
+    def test_a_damaged_index_changes_no_answer(self, tmp_path, monkeypatch, capsys, damage):
+        root = tmp_path / "u"
+        two_site_store(root)
+        expected = answers(root, capsys)
+        oracle = oracle_digest(open_universe(root))
+        index = root / "deployments" / INDEX_FILE
+        text = index.read_text()
+        lines = text.splitlines(keepends=True)
+        if damage == "missing":
+            index.unlink()
+        elif damage == "torn last line":
+            index.write_text(text[:-20])
+        elif damage == "line of a missing record":
+            index.write_text(text + lines[0].replace("d000000", "d000099"))
+        elif damage == "disagreeing hash":
+            sha = json.loads(lines[3])[1]
+            index.write_text(text.replace(sha, "0" * 64))
+        elif damage == "duplicate lines":
+            index.write_text(text + text)
+        elif damage == "conflicting lines":
+            index.write_text(text + lines[3].replace('"s1"', '"s2"').replace('"s0"', '"s2"'))
+        elif damage == "not JSON":
+            index.write_text(text[:40] + "\n" + "[" * 100000 + "\n" + text)
+        else:
+            monkeypatch.setattr(universe_mod, "MAX_INDEX_BYTES", len(text) - 1)
+        decodes = count_decodes(monkeypatch)
+        assert answers(root, capsys) == expected
+        # Each of the four opens decodes the records no line certifies.
+        uncertified = {"missing": 7, "torn last line": 1, "disagreeing hash": 1, "conflicting lines": 1,
+                       "over-long": 7}
+        assert len(decodes) == 4 * uncertified.get(damage, 0)
+        reopened = open_universe(root)
+        assert universe_digest(reopened) == oracle_digest(reopened) == oracle
+        assert reopened == open_universe(root)  # decoding every body keeps every answer
+
+    def test_a_record_rewritten_with_the_same_length_and_mtime_is_decoded(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "u"
+        two_site_store(root)
+        path = root / "deployments" / "d000003.json"
+        stat = path.stat()
+        text = path.read_text()
+        assert '"site":"s1"' in text
+        path.write_text(text.replace('"site":"s1"', '"site":"s2"'))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        decodes = count_decodes(monkeypatch)
+        u = open_universe(root)
+        assert decodes == ["d000003"]
+        assert u.deployments["d000003"].site_id == "s2"  # the file, not the line
+        # A record that no longer matches its trace digest is refused.
+        path.write_text(text.replace('"id":"u-1.deactivate"', '"id":"u-1.deactivat!"'))
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == "deployments/d000003"
+        assert "process copy" in exc.value.reason
+
+    def test_a_body_decoded_later_is_checked_against_its_line(self, tmp_path):
+        root = tmp_path / "u"
+        two_site_store(root)
+        index = root / "deployments" / INDEX_FILE
+        index.write_text(index.read_text().replace('"s1"', '"s2"'))  # a consistent rewrite of a line
+        u = open_universe(root)
+        assert u.deployments["d000003"].site_id == "s2"
+        with pytest.raises(StoreCorruptError) as exc:
+            u.deployments["d000003"].trace
+        assert exc.value.document == "deployments/d000003"
+        assert exc.value.reason == "index line does not match record"
+
+    def test_a_writer_killed_before_its_lines_leaves_a_store_that_opens(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        small_store(root)
+        child = SPAWN.Process(target=die_before_index_lines, args=(str(root), "s0"))
+        child.start()
+        child.join(TIMEOUT)
+        assert child.exitcode == 3
+        assert (root / "deployments" / "d000004.json").exists()
+        assert "d000004" not in {line[0] for line in index_of(root)}
+        decodes = count_decodes(monkeypatch)
+        engine = LocalEngine(root)  # the store opens; the record without a line is decoded
+        assert decodes == ["d000004"]
+        assert engine.universe.site_states["s0"].deployed_units[0].state == "INSTALLED"
+        assert engine.handle({"op": "deactivate", "site": "s1", "unit": "u-1"})["ok"]
+        assert_index_matches_records(root)
+        oracle = oracle_digest(engine.universe)
+        decodes.clear()
+        assert universe_digest(open_universe(root)) == oracle
+        assert decodes == []
+
+    def test_a_pretty_printed_record_gets_no_line_and_opens(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        engine = small_store(root)
+        rid = engine.universe.next_deployment_id()
+        pretty = record_deployment(engine.universe, make_record(rid, site="s1"))
+        path = root / "deployments" / f"{rid}.json"
+        path.write_text(json.dumps(pretty.deployments[rid].to_json(), indent=2))
+        engine.store.reopen()
+        assert engine.handle({"op": "deactivate", "site": "s1", "unit": "u-1"})["ok"]
+        save_universe(open_universe(root))
+        assert rid not in {line[0] for line in index_of(root)}
+        assert len(index_of(root)) == len(engine.universe.deployments) - 1
+        decodes = count_decodes(monkeypatch)
+        u = open_universe(root)
+        assert decodes == [rid]
+        assert universe_digest(u) == oracle_digest(u) == oracle_digest(engine.universe)
+
+    def test_a_commit_lines_an_older_store(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        two_site_store(root)
+        (root / "deployments" / INDEX_FILE).unlink()  # as a store written before the index
+        engine = LocalEngine(root)
+        assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
+        assert_index_matches_records(root)
+        assert engine.handle({"op": "activate", "site": "s0", "unit": "u-1"})["ok"]
+        assert_index_matches_records(root)  # each record is lined once
+
+    def test_a_document_new_to_the_store_is_not_read_back(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        ent = make_enterprise({"s0": ({}, ()), "s1": ({}, ())})
+        save_universe(record_deployment(replace(empty_universe(root), enterprise=ent), make_record("d000000", site="s0")))
+        store = Store(root)
+        read, made = [], []
+        read_bytes, mkdir = Path.read_bytes, Path.mkdir
+        monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path.name) or read_bytes(path))
+        monkeypatch.setattr(Path, "mkdir", lambda path, *a, **k: made.append(path.name) or mkdir(path, *a, **k))
+        u = set_site_state(store.universe, ClientSiteState("s1"))
+        store.commit(record_deployment(u, make_record("d000001", site="s1")))
+        assert "state.json" not in read and "d000001.json" not in read
+        assert "s1" in made
+        read.clear()
+        made.clear()
+        unit = DeployedUnit("u-1", "prod", Version.parse("1.0"), "ACTIVE")
+        store.commit(set_site_state(store.universe, ClientSiteState("s1", (unit,), ("prod",))))
+        assert "state.json" in read and "s1" not in made  # an existing state is compared, its directory kept
+        assert universe_digest(open_universe(root)) == oracle_digest(store.universe)
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "document", ["enterprise.json", "catalog/srv1/u-1.json", "sites/s1/state.json", "deployments/d000003.json"]
+    )
+    def test_a_document_over_the_cap_is_corrupt(self, tmp_path, monkeypatch, document):
+        root = tmp_path / "u"
+        two_site_store(root)
+        largest = max(p.stat().st_size for p in root.rglob("*.json"))
+        path = root / document
+        path.write_bytes(path.read_bytes() + b" " * largest)  # still its JSON, now the largest file
+        monkeypatch.setattr(universe_mod, "MAX_DOCUMENT_BYTES", path.stat().st_size - 1)
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(root)
+        assert exc.value.document == document
+        assert exc.value.reason == f"larger than {path.stat().st_size - 1} bytes"
+        monkeypatch.setattr(universe_mod, "MAX_DOCUMENT_BYTES", path.stat().st_size)
+        assert open_universe(root).deployments.keys() == {f"d{n:06d}" for n in range(7)}

@@ -660,7 +660,7 @@ class TestRecordMemo:
         root = tmp_path / "u"
         u = record_deployment(populated_universe(root), make_record("d000001"))
         save_universe(u)
-        first = open_universe(root)  # held, so its parsed records stay memoised
+        first = open_universe(root)  # held: nothing it read may stand in for a changed file
         dep_dir = root / "deployments"
 
         # Same length and mtime: only the bytes tell the change apart.
@@ -870,7 +870,7 @@ class TestSharedValuesAtOpen:
             u = record_deployment(u, make_record(f"d{n:06d}", unit="u-twice"))
         save_universe(u)
         first = open_universe(root)
-        second = open_universe(root)  # its records come from the memo
+        second = open_universe(root)  # its records come from their index lines
         assert first == second == u
         assert universe_digest(first) == universe_digest(second) == universe_digest(u)
         del first, second
