@@ -11,11 +11,10 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .engine import USAGE_ERROR_CODES, LocalEngine
 from .errors import OryaError
-from .universe import ENV_UNIVERSE, init_universe
+from .universe import ENV_UNIVERSE, init_universe, read_document
 from .values import value_from_json
 
 
@@ -97,7 +96,7 @@ def _request_for(args: argparse.Namespace) -> dict:
     if cmd == "model":
         return {"op": f"model_{args.action}"}
     if cmd == "publish":
-        manifest = json.loads(Path(args.manifest).read_text())
+        manifest = read_document(args.manifest, args.manifest, dict)
         return {"op": "publish", "server": args.server, "manifest": manifest}
     if cmd == "unpublish":
         return {"op": "unpublish", "server": args.server, "unit": args.unit}
@@ -221,16 +220,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "init":
             if not args.universe:
                 parser.error("--universe (or $ORYA_UNIVERSE) is required")
-            u = init_universe(args.universe)
-            if args.enterprise:
-                from dataclasses import replace
-
+            enterprise = None
+            if args.enterprise:  # decoded before anything is created
                 from .model import enterprise_from_json
-                from .universe import save_universe
 
-                doc = json.loads(Path(args.enterprise).read_text())
-                u = replace(u, enterprise=enterprise_from_json(doc))
-                save_universe(u)
+                enterprise = read_document(args.enterprise, args.enterprise, enterprise_from_json)
+            init_universe(args.universe, enterprise)
             return _emit({"ok": True, "initialized": str(args.universe)}, args.format)
 
         # The simulated fleet and the socket transport are imported only by
@@ -274,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except OryaError as err:
         print(f"error [{err.code}]: {err.message}", file=sys.stderr)
         return 2 if err.code in USAGE_ERROR_CODES else 1
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"orya: {err}", file=sys.stderr)
         return 2
 

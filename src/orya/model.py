@@ -469,15 +469,10 @@ def site_state_from_json(doc: dict, shared: dict[str, DeployedUnit] | None = Non
         if unit is None:
             unit = shared[key] = deployed_unit_from_json(d)
         units.append(unit)
-    units = tuple(units)
     return ClientSiteState(
         machine_id=doc["machine"],
-        deployed_units=units,
-        products=(
-            tuple(expect_items(doc["products"], str, "products"))
-            if "products" in doc
-            else derive_products(units)
-        ),
+        deployed_units=tuple(units),
+        products=tuple(expect_items(doc["products"], str, "products")),
     )
 
 

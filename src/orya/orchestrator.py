@@ -34,7 +34,7 @@ from .process import (
     transition,
     validate_process,
 )
-from .report import FleetReport, SiteOutcome, status  # noqa: F401  (status: a read op)
+from .report import FleetReport, SiteOutcome
 from .safety import SafetyPolicy, blocking_conflicts, check_removal_safety
 from .selection import select_package
 from .units import PackagedUnit
@@ -54,7 +54,6 @@ from .universe import (
 class DeployRequest:
     target: str | tuple[str, ...]  # group id or explicit machine ids
     product_id: str
-    mode: DeployMode = DeployMode.PUSH
     policy: SafetyPolicy = SafetyPolicy.REJECT
     dry_run: bool = False
     extra_filters: tuple[str, ...] = ()  # constraint text over candidate properties
@@ -279,7 +278,7 @@ def _deploy_one(u, fleet, site_id, req, units_by_id, processes, memo):
     if process is None:
         return u, SiteOutcome(site_id, "FAILED", reason="INVALID_PROCESS", selection=sel)
     return _run_process(
-        u, fleet, site_id, unit, process, req.mode, units_by_id, "DEPLOYED", selection=sel
+        u, fleet, site_id, unit, process, DeployMode.PUSH, units_by_id, "DEPLOYED", selection=sel
     )
 
 
@@ -370,7 +369,6 @@ def on_property_change(
     change: ChangeEvent | None,
     fleet,
     apply: bool = False,
-    policy: SafetyPolicy = SafetyPolicy.REJECT,
 ):
     """React to changed site characteristics using the retained unit data.
 
@@ -407,7 +405,7 @@ def on_property_change(
         replacement = None
         if candidates:
             sel = select_package(
-                du.product_id, candidates, view, state, policy=policy, replacing=du, memo=memo
+                du.product_id, candidates, view, state, replacing=du, memo=memo
             )
             if sel.chosen is not None and sel.chosen != du.unit_id:
                 replacement = sel.chosen

@@ -240,15 +240,6 @@ class ProcessReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"code": v.code, "path": v.path, "detail": v.detail} for v in self.violations
-            ],
-            "feasible_starts": [s.value for s in self.feasible_starts],
-        }
-
 
 def activities(step: Step, path: str = "root"):
     """Yield (path, activity) pairs in tree order."""

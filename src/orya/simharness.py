@@ -43,6 +43,7 @@ from .universe import (
     Universe,
     empty_universe,
     publish_unit,
+    read_document,
     universe_digest,
 )
 from .values import Size, value_from_json, value_to_json
@@ -81,15 +82,6 @@ class CallLogEntry:
     actor: str
     method: str
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "role": self.role,
-            "actor": self.actor,
-            "method": self.method,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -482,7 +474,6 @@ class ScenarioReport:
 
 @dataclass
 class Scenario:
-    seed: int
     enterprise: dict
     catalog: dict
     script: list
@@ -491,7 +482,6 @@ class Scenario:
     @classmethod
     def from_json(cls, doc: dict) -> "Scenario":
         return cls(
-            seed=doc.get("seed", 0),
             enterprise=doc["enterprise"],
             catalog=doc.get("catalog", {}),
             script=list(doc.get("script", ())),
@@ -500,7 +490,7 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return Scenario.from_json(json.loads(Path(path).read_text()))
+    return read_document(path, str(path), Scenario.from_json)
 
 
 def spawn_fleet(scenario: Scenario) -> tuple[Universe, Fleet]:

@@ -42,10 +42,6 @@ class PackagedUnit:
     requires: tuple[tuple[str, Version], ...] = ()  # (name, min version)
     process: ProcessDef | None = None  # None: the default install template
 
-    @property
-    def version(self) -> Version:
-        return self.product_version
-
     @cached_property
     def parsed_constraints(self) -> tuple[expr_mod.Expression, ...]:
         """The constraint trees, from the shared parse table."""

@@ -14,8 +14,10 @@ document's canonical JSON (compact, sorted keys) and a newline::
 
 Deployment records are append-only; they embed a full copy of the executed
 process so pull updates and reconfiguration survive catalog removal. Files
-pretty-printed by older versions open as they are. No store file is read past
-``MAX_DOCUMENT_BYTES``.
+pretty-printed by older versions open as they are. No file is read whole:
+each is read up to its cap (``MAX_DOCUMENT_BYTES`` for a store document or a
+file an operator gives, and ``MAX_INDEX_BYTES``, ``MAX_HEAD_BYTES`` and
+``MAX_LOCK_BYTES``).
 
 A save moves the head's generation before its first change. A ``Store`` is
 one opened root; a commit through it is refused, with nothing written, when
@@ -49,6 +51,7 @@ import fcntl
 import hashlib
 import json
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -99,6 +102,14 @@ MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
 # The largest record index open reads, in bytes. Past it the index is ignored
 # and no line is added: every record is then decoded, and answers are the same.
 MAX_INDEX_BYTES = 64 * 1024 * 1024
+# A generation is 20 digits, so a longer head is CORRUPT. A lock file longer
+# than its cap names the holder "unknown", which is never taken as gone.
+MAX_HEAD_BYTES = 64
+MAX_LOCK_BYTES = 4096
+# A writer that finds the lock held by a live holder looks again every
+# LOCK_POLL_SECONDS for up to LOCK_WAIT_SECONDS before it answers LOCKED.
+LOCK_WAIT_SECONDS = 0.5
+LOCK_POLL_SECONDS = 0.005
 
 
 class DeployMode(str, Enum):
@@ -310,11 +321,17 @@ def cross_validate(u: Universe) -> None:
 # Locking
 
 
-def _holder(text: str) -> tuple[str, bool]:
-    """The writer a lock file's text names, and whether it was a process on
-    this host that is gone. Read under the directory flock, an empty lock is
-    one whose writer died before writing to it. Any other text ``store_lock``
-    did not write names itself and is never taken as gone."""
+def _holder(lock_path: Path) -> tuple[str, bool]:
+    """The writer the lock file names, and whether it was a process on this
+    host that is gone. Read under the directory flock, an empty lock is one
+    whose writer died before writing to it. A lock that cannot be read or is
+    longer than ``MAX_LOCK_BYTES`` names "unknown", and any other text
+    ``store_lock`` did not write names itself; neither is taken as gone."""
+    try:
+        data = _read_capped(lock_path, MAX_LOCK_BYTES)
+    except OSError:
+        data = b"unknown"
+    text = "unknown" if len(data) > MAX_LOCK_BYTES else data.decode(errors="replace")
     if not text:
         return "", True
     try:
@@ -333,12 +350,10 @@ def _holder(text: str) -> tuple[str, bool]:
     return writer, False
 
 
-@contextmanager
-def store_lock(root: Path, writer_id: str = "orya"):
-    """Advisory single-writer lock; the second writer gets LOCKED, naming the
-    holder. The lock file records the writer, its pid and its host. Writers
-    create and fill it under a flock of the store directory, so a lock whose
-    holder on this host is gone is taken over by one writer only."""
+def _try_lock(root: Path, writer_id: str) -> str | None:
+    """Create and fill the lock file under a flock of the store directory,
+    so a lock whose holder on this host is gone is taken over by one writer
+    only; None when taken, else the live holder's name."""
     lock_path = root / LOCK_FILE
     fd = os.open(root, os.O_RDONLY)
     try:
@@ -346,22 +361,32 @@ def store_lock(root: Path, writer_id: str = "orya"):
         try:
             lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            try:
-                text = lock_path.read_text()
-            except OSError:
-                text = "unknown"
-            writer, gone = _holder(text)
+            writer, gone = _holder(lock_path)
             if not gone:
-                raise StoreLockedError(writer) from None
+                return writer
             lock_fd = os.open(lock_path, os.O_WRONLY | os.O_TRUNC)
         with os.fdopen(lock_fd, "w") as f:
             json.dump({"host": os.uname().nodename, "pid": os.getpid(), "writer": writer_id}, f)
+        return None
     finally:
         os.close(fd)
+
+
+@contextmanager
+def store_lock(root: Path, writer_id: str = "orya"):
+    """Advisory single-writer lock. The lock file records the writer, its pid
+    and its host. While a live writer holds it, a second writer waits up to
+    ``LOCK_WAIT_SECONDS``, then gets LOCKED naming the holder; a dead
+    holder's lock is taken over at once."""
+    deadline = time.monotonic() + LOCK_WAIT_SECONDS
+    while (holder := _try_lock(root, writer_id)) is not None:
+        if time.monotonic() >= deadline:
+            raise StoreLockedError(holder)
+        time.sleep(LOCK_POLL_SECONDS)
     try:
         yield
     finally:
-        lock_path.unlink(missing_ok=True)
+        (root / LOCK_FILE).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +396,12 @@ def store_lock(root: Path, writer_id: str = "orya"):
 def _read_generation(root: Path) -> int:
     """The generation in the store's head file; 0 when there is none."""
     try:
-        digits = (root / HEAD_FILE).read_bytes().strip()
+        data = _read_capped(root / HEAD_FILE, MAX_HEAD_BYTES)
     except (FileNotFoundError, NotADirectoryError):
         return 0
-    if not digits.isdigit():
+    if len(data) > MAX_HEAD_BYTES or not data.strip().isdigit():
         raise StoreCorruptError(HEAD_FILE, "not a generation")
-    return int(digits)
+    return int(data)
 
 
 def _write_head(root: Path, generation: int) -> None:
@@ -452,23 +477,29 @@ class Store:
 # Open / init / save
 
 
-def init_universe(path: str | Path) -> Universe:
-    """Write an empty skeleton; the path must be empty or absent."""
+def init_universe(path: str | Path, enterprise: EnterpriseModel | None = None) -> Universe:
+    """Write a store holding ``enterprise`` (an empty model when None) in one
+    save, at generation 1; the path must be empty or absent."""
     root = Path(path)
     if root.exists() and any(root.iterdir()):
         raise StoreCorruptError(str(root), "directory not empty")
-    root.mkdir(parents=True, exist_ok=True)
-    u = empty_universe(root)
+    u = empty_universe(root) if enterprise is None else Universe(enterprise, root=root)
     save_universe(u)
     return u
+
+
+def _read_capped(path: str | Path, cap: int) -> bytes:
+    """The bytes of a file, read up to ``cap`` + 1: more than ``cap`` bytes
+    means the file is longer than ``cap``."""
+    with open(path, "rb", buffering=0) as f:
+        return f.read(min(os.fstat(f.fileno()).st_size, cap) + 1)
 
 
 def _read_file(path: str | Path, document: str) -> bytes:
     """The bytes of a store file, read up to ``MAX_DOCUMENT_BYTES`` + 1; an
     unreadable or larger file is StoreCorruptError naming ``document``."""
     try:
-        with open(path, "rb", buffering=0) as f:
-            data = f.read(min(os.fstat(f.fileno()).st_size, MAX_DOCUMENT_BYTES) + 1)
+        data = _read_capped(path, MAX_DOCUMENT_BYTES)
     except OSError as err:
         raise StoreCorruptError(document, str(err)) from None
     if len(data) > MAX_DOCUMENT_BYTES:
@@ -481,11 +512,14 @@ def _decode(data: bytes, document: str, decode, *args):
     StoreCorruptError naming ``document``."""
     try:
         return decode(expect(json.loads(data.decode()), dict, "document"), *args)
-    except (ValueError, KeyError, ExpressionSyntaxError) as err:
+    except (ValueError, KeyError, RecursionError, ExpressionSyntaxError) as err:
         raise StoreCorruptError(document, str(err)) from None
 
 
-def _read_document(path: str | Path, document: str, decode, *args):
+def read_document(path: str | Path, document: str, decode, *args):
+    """``decode(doc, *args)`` of the JSON object in the file at ``path``,
+    read up to ``MAX_DOCUMENT_BYTES``; an unreadable, larger, non-JSON or
+    ill-shaped file is StoreCorruptError naming ``document``."""
     return _decode(_read_file(path, document), document, decode, *args)
 
 
@@ -504,8 +538,7 @@ def _read_index(dep_dir: str | Path) -> dict[tuple[str, str], tuple | None]:
     missing, unreadable or over-long index, and any line that is not a
     well-formed entry (a torn last line, say), count as absent."""
     try:
-        with open(os.path.join(dep_dir, INDEX_FILE), "rb", buffering=0) as f:
-            data = f.read(min(os.fstat(f.fileno()).st_size, MAX_INDEX_BYTES) + 1)
+        data = _read_capped(os.path.join(dep_dir, INDEX_FILE), MAX_INDEX_BYTES)
     except OSError:
         return {}
     if len(data) > MAX_INDEX_BYTES:
@@ -599,7 +632,7 @@ def open_universe(path: str | Path) -> Universe:
     ent_path = root / "enterprise.json"
     if not ent_path.exists():
         raise StoreCorruptError("enterprise.json", "missing")
-    enterprise = _read_document(ent_path, "enterprise.json", enterprise_from_json)
+    enterprise = read_document(ent_path, "enterprise.json", enterprise_from_json)
 
     catalog: dict[str, tuple[PackagedUnit, ...]] = {}
     catalog_dir = root / "catalog"
@@ -608,7 +641,7 @@ def open_universe(path: str | Path) -> Universe:
             if not server_dir.is_dir():
                 continue
             catalog[server_dir.name] = tuple(
-                _read_document(path, f"catalog/{server_dir.name}/{path.name}", unit_from_json)
+                read_document(path, f"catalog/{server_dir.name}/{path.name}", unit_from_json)
                 for path in sorted(server_dir.glob("*.json"))
             )
 
@@ -624,7 +657,7 @@ def open_universe(path: str | Path) -> Universe:
             state_path = site_dir / "state.json"
             if not state_path.exists():
                 continue
-            site_states[site_dir.name] = _read_document(
+            site_states[site_dir.name] = read_document(
                 state_path, f"sites/{site_dir.name}/state.json", site_state_from_json, units
             )
 
@@ -648,9 +681,7 @@ def open_universe(path: str | Path) -> Universe:
     return u
 
 
-def save_universe(
-    u: Universe, path: str | Path | None = None, writer_id: str = "orya", *, store: Store | None = None
-) -> int:
+def save_universe(u: Universe, path: str | Path | None = None, *, store: Store | None = None) -> int:
     """Persist the universe under the single-writer lock; return the head's
     generation after the save. The head moves on before the first document
     the save writes or removes, so a writer killed mid-save still moves it.
@@ -667,16 +698,16 @@ def save_universe(
     is skipped. Any other document is written (by write-and-rename) only when
     its bytes differ from the file on disk.
 
-    The index gains one line per new record, and one per older record it
-    lacks (all lacking ones without a store, those the store's open found
-    uncertified with one) whose file holds exactly its canonical text. Lines
-    are appended, by one write, and do not move the head.
+    The index gains one line per new record and, through a store, one per
+    older record the store's open found uncertified whose file holds exactly
+    its canonical text. Lines are appended, by one write, and do not move the
+    head.
     """
     root = Path(path) if path is not None else u.root
     if root is None:
         raise ValueError("universe has no root path")
     root.mkdir(parents=True, exist_ok=True)
-    with store_lock(root, writer_id):
+    with store_lock(root):
         generation, moved = _read_generation(root), []
         if store is not None and store.generation != generation:
             raise StoreChangedError(f"store moved to generation {generation} since it was read")
@@ -692,8 +723,7 @@ def save_universe(
         if base is None:
             existing = set(os.listdir(dep_dir))
             new_records = [rid for rid in u.deployments if f"{rid}.json" not in existing]
-            lined = {rid for rid, _ in _read_index(dep_dir)}
-            unlined = [rid for rid in u.deployments if rid not in lined and f"{rid}.json" in existing]
+            unlined = []
         else:
             new_records = [rid for rid in u.deployments if rid not in base.deployments]
             unlined = [rid for rid in store._unlined if rid in u.deployments]
@@ -777,6 +807,16 @@ def _replace(path: Path, data: bytes) -> None:
 # Catalog and record operations (pure: they return a new Universe)
 
 
+def _server_units(u: Universe, server_id: str) -> tuple[PackagedUnit, ...]:
+    """The units published on ``server_id``; UnknownTargetError unless the
+    last machine with that id, as ``cross_validate`` reads it, is an app
+    server."""
+    m = next((m for m in reversed(u.enterprise.machines) if m.id == server_id), None)
+    if m is None or m.kind is not MachineKind.APP_SERVER:
+        raise UnknownTargetError(f"{server_id!r} is not an app server")
+    return u.catalog.get(server_id, ())
+
+
 def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
     """Add ``unit`` to a server's catalog.
 
@@ -788,11 +828,7 @@ def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
     points is refused (PROCESS_TOO_LARGE); one already stored fails validation
     at deploy without a search.
     """
-    machines = {m.id: m for m in u.enterprise.machines}
-    m = machines.get(server_id)
-    if m is None or m.kind is not MachineKind.APP_SERVER:
-        raise UnknownTargetError(f"{server_id!r} is not an app server")
-    units = u.catalog.get(server_id, ())
+    units = _server_units(u, server_id)
     if any(existing.id == unit.id for existing in units):
         raise DuplicateUnitError(f"unit {unit.id!r} already published on {server_id!r}")
     if unit.process is None:
@@ -812,11 +848,7 @@ def publish_unit(u: Universe, server_id: str, unit: PackagedUnit) -> Universe:
 
 
 def remove_unit(u: Universe, server_id: str, unit_id: str) -> Universe:
-    machines = {m.id: m for m in u.enterprise.machines}
-    m = machines.get(server_id)
-    if m is None or m.kind is not MachineKind.APP_SERVER:
-        raise UnknownTargetError(f"{server_id!r} is not an app server")
-    units = u.catalog.get(server_id, ())
+    units = _server_units(u, server_id)
     if not any(existing.id == unit_id for existing in units):
         raise UnknownUnitError(f"unit {unit_id!r} not published on {server_id!r}")
     catalog = dict(u.catalog)

@@ -10,10 +10,11 @@ import pytest
 import orya
 from conftest import make_enterprise, make_unit
 from orya import service as svc
+from orya import universe as universe_mod
 from orya.cli import _emit, main
 from orya.model import enterprise_to_json
 from orya.units import unit_to_json
-from orya.universe import empty_universe, open_universe, save_universe
+from orya.universe import HEAD_FILE, empty_universe, open_universe, save_universe
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -71,6 +72,23 @@ class TestInit:
         (tmp_path / "junk").write_text("x")
         assert main(["--universe", str(tmp_path), "init"]) == 2
 
+    @pytest.mark.parametrize(
+        "text", [None, "not json", "[" * 10000 + "]" * 10000, '{"id": "e", "machines": [{"id": "x"}]}']
+    )
+    def test_a_bad_enterprise_file_creates_nothing(self, tmp_path, capsys, text):
+        ent_path, root = tmp_path / "enterprise.json", tmp_path / "u"
+        if text is not None:  # None: the file is missing
+            ent_path.write_text(text)
+        assert main(["--universe", str(root), "init", "--enterprise", str(ent_path)]) == 2
+        assert str(ent_path) in capsys.readouterr().err
+        assert not root.exists()
+        model = enterprise_to_json(make_enterprise({"site1": ({"os": "linux"}, ())}))
+        ent_path.write_text(json.dumps(model))
+        assert main(["--universe", str(root), "init", "--enterprise", str(ent_path)]) == 0
+        assert int((root / HEAD_FILE).read_text()) == 1  # one save
+        capsys.readouterr()
+        assert run_json(root, capsys, "model", "show") == (0, {"ok": True, "model": model})
+
     def test_missing_universe_flag_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("ORYA_UNIVERSE", raising=False)
         with pytest.raises(SystemExit) as exc:
@@ -107,6 +125,43 @@ class TestCatalog:
 
     def test_bad_manifest_path(self, store, capsys):
         assert run(store, "publish", "srv1", "/nonexistent.json") == 2
+
+
+class TestInputCap:
+    """A manifest, an enterprise or a scenario file is read up to
+    ``MAX_DOCUMENT_BYTES``; past it the command exits 2 and names the file."""
+
+    def cap_at(self, monkeypatch, path, over):
+        """Set the cap ``over`` bytes below the size of ``path``."""
+        monkeypatch.setattr(universe_mod, "MAX_DOCUMENT_BYTES", path.stat().st_size - over)
+
+    def test_manifest(self, store, tmp_path, capsys, monkeypatch):
+        manifest = Path(write_manifest(tmp_path, make_unit("editor-1.2", product="editor", version="1.2")))
+        largest = max(p.stat().st_size for p in store.rglob("*.json"))
+        manifest.write_bytes(manifest.read_bytes() + b" " * largest)  # larger than any store file
+        self.cap_at(monkeypatch, manifest, 1)
+        assert run(store, "publish", "srv1", str(manifest)) == 2
+        assert f"{manifest}: larger than" in capsys.readouterr().err
+        self.cap_at(monkeypatch, manifest, 0)
+        assert run(store, "publish", "srv1", str(manifest)) == 0
+
+    def test_enterprise(self, tmp_path, capsys, monkeypatch):
+        ent_path, root = tmp_path / "enterprise.json", tmp_path / "u"
+        ent_path.write_text(json.dumps(enterprise_to_json(make_enterprise({"site1": ({}, ())}))))
+        self.cap_at(monkeypatch, ent_path, 1)
+        assert main(["--universe", str(root), "init", "--enterprise", str(ent_path)]) == 2
+        assert f"{ent_path}: larger than" in capsys.readouterr().err
+        assert not root.exists()
+        self.cap_at(monkeypatch, ent_path, 0)
+        assert main(["--universe", str(root), "init", "--enterprise", str(ent_path)]) == 0
+
+    def test_scenario(self, capsys, monkeypatch):
+        scenario = SCENARIO_DIR / "basic_push.json"
+        self.cap_at(monkeypatch, scenario, 1)
+        assert main(["simulate", str(scenario)]) == 2
+        assert f"{scenario}: larger than" in capsys.readouterr().err
+        self.cap_at(monkeypatch, scenario, 0)
+        assert main(["simulate", str(scenario)]) == 0
 
 
 class TestDeploy:

@@ -10,6 +10,7 @@ from orya import expr as expr_mod
 from orya import orchestrator as orch
 from orya.errors import NotDeployedError, UnknownProductError, UnknownUnitError
 from orya.process import Activity, ActivityKind, ProcessDef, Seq, StepOutcome
+from orya.report import status
 from orya.safety import ConflictKind
 from orya.simharness import Fault, build_fleet, inject
 from orya.model import ClientSiteState, DeployedUnit
@@ -351,6 +352,15 @@ class TestPullUpdate:
         u, report = orch.pull_update(u, "s1", "editor", fleet)
         assert report.entries[0].reason == "UP_TO_DATE"
 
+    def test_no_admissible_newer_candidate(self):
+        u, fleet = self._deployed()
+        u = publish_unit(u, "srv1", linux_unit("ed-2.0", version="2.0", constraints=['os = "win"']))
+        after, report = orch.pull_update(u, "s1", "editor", fleet)
+        [entry] = report.entries
+        assert (entry.outcome, entry.reason, entry.selection.chosen) == ("SKIPPED", "UP_TO_DATE", None)
+        assert [c.unit_id for c in entry.selection.candidates] == ["ed-2.0"]
+        assert after is u
+
     def test_never_deployed_raises(self):
         u = make_universe({"s1": (LINUX, ())}, [("srv1", linux_unit())])
         with pytest.raises(NotDeployedError):
@@ -398,6 +408,20 @@ class TestReconfiguration:
         event = fleet.sites["s1"].set_property("ram", 4)
         plan = orch.on_property_change(u, "s1", event, fleet)
         assert plan.actions[0].action == "DEACTIVATE"
+
+    def test_apply_deactivates_when_no_replacement(self):
+        u, fleet = pushed()
+        u, report = reconfigured(u, fleet)
+        assert [(e.outcome, e.unit_id) for e in report.entries] == [("DEACTIVATED", "ed-1.0")]
+        assert u.site_states["s1"].deployed_units[0].state == "INSTALLED"
+        assert u.deployments["d000001"].mode.value == "RECONFIGURE"
+
+    def test_apply_leaves_an_installed_unit_with_no_replacement(self):
+        u, fleet = deactivated()
+        after, report = reconfigured(u, fleet)
+        assert [(e.outcome, e.reason, e.unit_id) for e in report.entries] == [("SKIPPED", "NO_ACTION", "ed-1.0")]
+        assert after.deployments == u.deployments
+        assert after.site_states["s1"].deployed_units[0].state == "INSTALLED"
 
     def test_satisfied_units_untouched(self):
         u = self._universe()
@@ -553,7 +577,7 @@ class TestStatus:
         u = make_universe({"s1": (LINUX, ())}, [("srv1", linux_unit())])
         fleet = build_fleet(u)
         u, _ = deploy(u, fleet)
-        report = orch.status(u)
+        report = status(u)
         assert len(report.entries) == 1
         assert report.entries[0].outcome == "SUCCESS"
-        assert orch.status(u, site="nowhere").entries == ()
+        assert status(u, site="nowhere").entries == ()

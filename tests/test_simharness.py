@@ -87,6 +87,20 @@ class TestSnapshotRestore:
         assert site.snapshot() == snap
         assert ctx.params["unit_id"] == "old"
 
+    def test_compensated_copy_restores_snapshot(self):
+        site, _ = fresh_site()
+        unit = make_unit("u", resources=[("r", 10, "d")])
+        ctx = ctx_for(unit, _payload=None)
+        site.run_primitive("p0", Activity.make(ActivityKind.TRANSFER, resource="r"), ctx)
+        site.run_primitive("p1", Activity.make(ActivityKind.INSTALL), ctx)
+        for dst in ("etc/u.conf", "installed/u/r"):  # a new file, then one that exists
+            copy = Activity.make(ActivityKind.COPY, **{"from": "installed/u/r", "to": dst})
+            snap = site.snapshot()
+            token = site.run_primitive("p2", copy, ctx)
+            assert site.files[dst] == site.files["installed/u/r"]
+            site.compensate("p2", copy, token, ctx)
+            assert site.snapshot() == snap
+
     def test_snapshot_is_a_copy(self):
         site, _ = fresh_site()
         snap = site.snapshot()

@@ -3,7 +3,8 @@ processes.
 
 Every write moves the head's generation before its first document, and a
 commit through a ``Store`` is refused when the head moved since the store
-was read. A lock whose holder died on this host is reclaimed. A record that
+was read. A writer waits briefly for a live holder's lock, and a lock whose
+holder died on this host is reclaimed at once. A record that
 one index line certifies is not decoded at open, and any damage to the index
 only sends records back to a full decode. Child processes are started by
 ``spawn`` and are never more than four.
@@ -191,6 +192,17 @@ class TestHead:
             Store(root)
         assert exc.value.document == HEAD_FILE
 
+    def test_a_head_over_its_cap_is_corrupt(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        small_store(root)
+        size = (root / HEAD_FILE).stat().st_size
+        monkeypatch.setattr(universe_mod, "MAX_HEAD_BYTES", size - 1)
+        with pytest.raises(StoreCorruptError) as exc:
+            Store(root)
+        assert exc.value.document == HEAD_FILE
+        monkeypatch.setattr(universe_mod, "MAX_HEAD_BYTES", size)
+        assert Store(root).generation == head(root)
+
     def test_a_store_read_while_a_writer_holds_the_lock_commits_only_after_reading_again(self, tmp_path):
         root = tmp_path / "u"
         small_store(root)
@@ -248,6 +260,18 @@ class TestReclaim:
         assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
         assert not (root / LOCK_FILE).exists()
 
+    def test_a_lock_over_its_cap_names_no_holder_and_is_kept(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        engine = small_store(root)
+        text = lock_text(dead_pid(), "dead")
+        (root / LOCK_FILE).write_text(text)
+        monkeypatch.setattr(universe_mod, "MAX_LOCK_BYTES", len(text) - 1)
+        resp = engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})
+        assert resp["error"] == {"code": "LOCKED", "message": "store locked by writer 'unknown'"}
+        assert (root / LOCK_FILE).read_text() == text
+        monkeypatch.setattr(universe_mod, "MAX_LOCK_BYTES", len(text))
+        assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
+
     @pytest.mark.parametrize("when", ["before", "after"])
     def test_a_writer_killed_taking_the_lock_leaves_a_lock_that_is_reclaimed(self, tmp_path, when):
         root = tmp_path / "u"
@@ -293,6 +317,69 @@ class TestReclaim:
         [winner] = [writer for writer, outcome in outcomes.items() if outcome == "won"]
         assert outcomes == {winner: "won", ({"first", "second"} - {winner}).pop(): winner}
         assert not (root / LOCK_FILE).exists()
+
+
+def count_attempts(monkeypatch, refused=None):
+    """Record what each attempt to take the lock found: None when it took
+    the lock, else the holder's name. ``refused`` is set at the first
+    attempt that finds a live holder."""
+    attempts, try_lock = [], universe_mod._try_lock
+
+    def counted(root, writer_id):
+        holder = try_lock(root, writer_id)
+        attempts.append(holder)
+        if holder is not None and refused is not None:
+            refused.set()
+        return holder
+
+    monkeypatch.setattr(universe_mod, "_try_lock", counted)
+    return attempts
+
+
+class TestLockWait:
+    def test_a_writer_commits_when_the_holder_releases_within_the_bound(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        engine = small_store(root)
+        held, refused = threading.Event(), threading.Event()
+        attempts = count_attempts(monkeypatch, refused)
+
+        def hold():
+            with store_lock(root, "other"):
+                held.set()
+                refused.wait(TIMEOUT)  # release once the writer has found the lock held
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(TIMEOUT)
+            resp = engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})
+        finally:
+            refused.set()
+            holder.join(TIMEOUT)
+        assert not holder.is_alive()
+        assert resp["ok"]
+        assert attempts[0] is None and "other" in attempts and attempts[-1] is None
+        assert not (root / LOCK_FILE).exists()
+
+    def test_a_holder_past_the_bound_answers_locked(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        engine = small_store(root)
+        attempts = count_attempts(monkeypatch)
+        with store_lock(root, "other"):
+            t0 = time.monotonic()
+            resp = engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})
+            waited = time.monotonic() - t0
+        assert resp["error"] == {"code": "LOCKED", "message": "store locked by writer 'other'"}
+        assert waited >= universe_mod.LOCK_WAIT_SECONDS
+        assert len(attempts) > 2 and set(attempts[1:]) == {"other"}
+
+    def test_a_dead_holders_lock_is_taken_at_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        engine = small_store(root)
+        (root / LOCK_FILE).write_text(lock_text(dead_pid(), "dead"))
+        attempts = count_attempts(monkeypatch)
+        assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
+        assert attempts == [None]
 
 
 # -- crashes and races ----------------------------------------------------------
