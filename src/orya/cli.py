@@ -14,6 +14,7 @@ import sys
 
 from .engine import USAGE_ERROR_CODES, LocalEngine
 from .errors import OryaError
+from .units import unit_from_json
 from .universe import ENV_UNIVERSE, init_universe, read_document
 from .values import value_from_json
 
@@ -96,7 +97,7 @@ def _request_for(args: argparse.Namespace) -> dict:
     if cmd == "model":
         return {"op": f"model_{args.action}"}
     if cmd == "publish":
-        manifest = read_document(args.manifest, args.manifest, dict)
+        manifest = read_document(args.manifest, args.manifest, _checked_manifest)
         return {"op": "publish", "server": args.server, "manifest": manifest}
     if cmd == "unpublish":
         return {"op": "unpublish", "server": args.server, "unit": args.unit}
@@ -141,6 +142,13 @@ def _request_for(args: argparse.Namespace) -> dict:
                 req[key] = getattr(args, key)
         return req
     raise _Usage(f"unknown command {cmd!r}")
+
+
+def _checked_manifest(doc: dict) -> dict:
+    """A manifest document, once it decodes as a unit: an ill-shaped file is
+    CORRUPT naming it, as a model or scenario file is."""
+    unit_from_json(doc)
+    return doc
 
 
 def _coerce(raw: str):

@@ -39,6 +39,11 @@ POSITIVE_OUTCOMES = {
 # everything else is a domain refusal and exits 1.
 USAGE_ERROR_CODES = {"CORRUPT", "LOCKED", "USAGE", "SYNTAX", "ERROR"}
 
+# An op refused because another writer committed since the store was read
+# runs again on the store read again, up to STALE_RERUNS times; the refusal
+# after that answers LOCKED.
+STALE_RERUNS = 8
+
 
 def _error(code: str, message: str) -> dict:
     return {"ok": False, "error": {"code": code, "message": message}}
@@ -67,13 +72,14 @@ class Engine:
         if handler is None:
             return _error("USAGE", f"unknown op {op!r}")
         try:
-            try:
-                return handler(req)
-            except StoreChangedError:
-                # Another writer committed since the store was read: read it
-                # again and run the op once more; a second refusal answers.
-                self.store.reopen()
-                return handler(req)
+            for _ in range(STALE_RERUNS):
+                try:
+                    return handler(req)
+                except StoreChangedError:
+                    # Another writer committed since the store was read:
+                    # read it again and run the op once more.
+                    self.store.reopen()
+            return handler(req)
         except OryaError as err:
             return _error(err.code, err.message)
         except (KeyError, ValueError, TypeError) as err:
@@ -180,6 +186,7 @@ class Engine:
             product=req.get("product"),
             outcome=req.get("outcome"),
             mode=req.get("mode"),
+            store=self.store,
         )
         return {"ok": True, "refusal": False, "report": report.to_json()}
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .universe import Universe, query_status
+from .universe import Store, Universe, query_status
 
 if TYPE_CHECKING:
     from .selection import SelectionReport
@@ -62,10 +62,13 @@ def status(
     product: str | None = None,
     outcome: str | None = None,
     mode: str | None = None,
+    *,
+    store: Store | None = None,
 ) -> FleetReport:
-    """Read-only aggregation over deployment records."""
+    """Read-only aggregation over deployment records; ``store`` as for
+    ``query_status``."""
     entries = []
-    for r in query_status(u, site=site, product=product, outcome=outcome, mode=mode):
+    for r in query_status(u, site=site, product=product, outcome=outcome, mode=mode, store=store):
         entries.append(
             SiteOutcome(
                 r.site_id,

@@ -39,6 +39,10 @@ Cost model: a store call costs what changed, not the whole store.
   ``universe_digest`` of its universe feeds only the records its commits
   added since, then the enterprise and sites: its cost no longer grows with
   the record count. Any other universe is hashed in full.
+- A ``Store`` also keeps each site's record ids, listed on its first
+  site-filtered ``query_status`` and extended by each commit with the
+  records it adds; so a warm ``status --site`` costs that site's records, not
+  the store's. Any other status scans every record.
 - A save appends the index lines of its new records with one write, and
   neither reads back nor makes a directory for a document new to its
   ``Store``'s universe.
@@ -238,14 +242,31 @@ def _members(pairs) -> str:
 
 
 # Ids d000000..d999999 sort as their numbers do, so records appended in id
-# order extend the hashed text at its end.
+# order extend the hashed text, and each site's list of ids, at its end.
 _MAX_KEPT_RECORDS = 10**6
+
+
+def _appendable(ids: list[str]) -> bool:
+    """Whether the sorted ``ids`` all sort before d{n}, where n is their
+    count, so that the ids d{n}.. a commit appends sort after them."""
+    return not ids or ids[-1] < f"d{len(ids):06d}"
+
+
+def _appended(u: Universe, n: int) -> list[str] | None:
+    """The ids d{n}..d{m-1} of the records ``u`` holds past its first ``n``,
+    in id order, where ``m`` is its record count; None unless each is there
+    and ``m`` is at most ``_MAX_KEPT_RECORDS``, so that they sort after the
+    first ``n`` when those are appendable."""
+    m = len(u.deployments)
+    ids = [f"d{i:06d}" for i in range(n, m)]
+    if n <= m <= _MAX_KEPT_RECORDS and all(rid in u.deployments for rid in ids):
+        return ids
+    return None
 
 
 def _hash_records(u: Universe):
     """The SHA-256 state of the digest text from its start to the end of the
-    records, and whether the ids are d000000..d{n-1}, so that more records
-    would extend that text at its end."""
+    records, and whether more records would extend that text at its end."""
     catalog = _members(
         (server, "[" + ",".join([unit.canonical_json for unit in units]) + "]")
         for server, units in sorted(u.catalog.items())
@@ -253,8 +274,7 @@ def _hash_records(u: Universe):
     ids = sorted(u.deployments)
     state = hashlib.sha256(f'{{"catalog":{{{catalog}}},"deployments":{{'.encode())
     state.update(_members(zip(ids, [u.deployments[rid].canonical_json for rid in ids])).encode())
-    extendable = len(ids) <= _MAX_KEPT_RECORDS and ids == [f"d{i:06d}" for i in range(len(ids))]
-    return state, extendable
+    return state, _appendable(ids)
 
 
 def universe_digest(u: Universe, store: Store | None = None) -> str:
@@ -422,11 +442,13 @@ def _write_head(root: Path, generation: int) -> None:
 
 class Store:
     """One opened store root: the universe last read from or committed to
-    disk, the generation the head held when it was read, and the SHA-256
-    state ``universe_digest`` keeps after its records. Records are
-    append-only, and the universe changes only by a commit, which keeps every
-    record, or by a reopen; so the kept state is extended by the records
-    commits add, and hashed in full again after a reopen or a catalog change.
+    disk, the generation the head held when it was read, the SHA-256 state
+    ``universe_digest`` keeps after its records, and the ids of each site's
+    records that ``query_status`` reads. Records are append-only, and the
+    universe changes only by a commit, which keeps every record, or by a
+    reopen; so the kept state is extended by the records commits add, and
+    hashed in full again after a reopen or a catalog change, and each commit
+    appends its new records to their sites' ids, which a reopen drops.
     """
 
     def __init__(self, root: str | Path):
@@ -443,6 +465,7 @@ class Store:
         torn = writing or _read_generation(self.root) != generation
         self.generation = None if torn else generation
         self._kept = None  # (catalog mapping, records hashed, SHA-256 state after them)
+        self._sites = None  # site -> ids of its records, in id order; listed on first use
         # Records no index line certified; the next commit adds lines for
         # those whose files hold their canonical text. (Just after the open
         # no record has been decoded, so a certified record is still unread.)
@@ -452,25 +475,47 @@ class Store:
         """Save ``u``, built from ``self.universe``, as the store's universe.
         StoreChangedError, with nothing written, when another writer has
         committed since the store was read."""
+        n = len(self.universe.deployments)
         self.generation = save_universe(u, self.root, store=self)
         self.universe, self._unlined = u, []
+        if self._sites is not None:
+            ids = _appended(u, n)
+            self._sites = None if ids is None else self._add_sites(self._sites, ids)
 
     def _hashed_records(self):
         """The SHA-256 state after the records of ``self.universe``."""
-        u, n = self.universe, len(self.universe.deployments)
-        if self._kept is not None and self._kept[0] is u.catalog and self._kept[1] <= n <= _MAX_KEPT_RECORDS:
+        u = self.universe
+        if self._kept is not None and self._kept[0] is u.catalog:
             catalog, hashed, state = self._kept
-            ids = [f"d{i:06d}" for i in range(hashed, n)]
-            records = [u.deployments.get(rid) for rid in ids]
-            if None not in records:  # the n ids are d000000..d{n-1}
-                if records:
-                    text = _members(zip(ids, [record.canonical_json for record in records]))
+            ids = _appended(u, hashed)
+            if ids is not None:
+                if ids:
+                    text = _members((rid, u.deployments[rid].canonical_json) for rid in ids)
                     state.update(("," + text if hashed else text).encode())
-                    self._kept = (catalog, n, state)
+                    self._kept = (catalog, len(u.deployments), state)
                 return state
         state, extendable = _hash_records(u)
-        self._kept = (u.catalog, n, state) if extendable else None
+        self._kept = (u.catalog, len(u.deployments), state) if extendable else None
         return state
+
+    def _site_ids(self, site: str) -> list[str] | None:
+        """The ids of ``site``'s records in ``self.universe``, in id order;
+        None when the records a commit appends would not sort after them."""
+        if self._sites is None:
+            ids = sorted(self.universe.deployments)
+            if not _appendable(ids):
+                return None
+            self._sites = self._add_sites({}, ids)
+        return self._sites.get(site, [])
+
+    def _add_sites(self, sites: dict[str, list[str]], ids: list[str]) -> dict[str, list[str]]:
+        """``sites`` with each of ``ids``, records of ``self.universe`` in id
+        order, appended to its site's list. Only the site is read, which an
+        index line gives, so no record is decoded."""
+        deployments = self.universe.deployments
+        for rid in ids:
+            sites.setdefault(deployments[rid].site_id, []).append(rid)
+        return sites
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +534,13 @@ def init_universe(path: str | Path, enterprise: EnterpriseModel | None = None) -
 
 
 def _read_capped(path: str | Path, cap: int) -> bytes:
-    """The bytes of a file, read up to ``cap`` + 1: more than ``cap`` bytes
-    means the file is longer than ``cap``."""
-    with open(path, "rb", buffering=0) as f:
-        return f.read(min(os.fstat(f.fileno()).st_size, cap) + 1)
+    """The bytes of a file, read up to ``cap`` + 1 by one ``os.read``: more
+    than ``cap`` bytes means the file is longer than ``cap``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, min(os.fstat(fd).st_size, cap) + 1)
+    finally:
+        os.close(fd)
 
 
 def _read_file(path: str | Path, document: str) -> bytes:
@@ -876,9 +924,17 @@ def query_status(
     product: str | None = None,
     outcome: str | None = None,
     mode: str | None = None,
+    *,
+    store: Store | None = None,
 ) -> list[DeploymentRecord]:
+    """The records that match every filter given, in id order. A site's
+    status over the universe of ``store`` reads only the ids the store keeps
+    for that site (see ``Store``); any other status scans every record."""
+    ids = None
+    if site is not None and store is not None and store.universe is u:
+        ids = store._site_ids(site)
     records = []
-    for rid in sorted(u.deployments):
+    for rid in sorted(u.deployments) if ids is None else ids:
         r = u.deployments[rid]
         if site is not None and r.site_id != site:
             continue

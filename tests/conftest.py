@@ -7,6 +7,7 @@ import random
 import pytest
 
 from orya import expr as expr_mod
+from orya import universe as universe_mod
 from orya.expr import And, Compare, Exists, Not, Or
 from orya.model import EnterpriseModel, Group, Machine, MachineKind, User
 from orya.units import PackagedUnit, Resource
@@ -18,6 +19,13 @@ def fresh_parse_table(monkeypatch):
     """Each test starts with an empty shared parse table, so what a test sees
     parsed does not depend on the tests before it."""
     monkeypatch.setattr(expr_mod, "_parsed", {})
+
+
+@pytest.fixture
+def short_lock_wait(monkeypatch):
+    """For a test that holds the lock on purpose: a writer that finds it
+    held answers LOCKED after 20 ms, not the real ``LOCK_WAIT_SECONDS``."""
+    monkeypatch.setattr(universe_mod, "LOCK_WAIT_SECONDS", 0.02)
 
 
 def make_unit(

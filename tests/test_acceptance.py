@@ -211,7 +211,7 @@ def test_8_determinism_and_dry_run_purity():
     criterion(8, "determinism and dry-run purity", 5, body)
 
 
-def test_9_store_survives_random_operation_sequences(tmp_path):
+def test_9_store_survives_random_operation_sequences(tmp_path, short_lock_wait):
     def body():
         rng = random.Random(7009)
         root = tmp_path / "universe"

@@ -126,6 +126,18 @@ class TestCatalog:
     def test_bad_manifest_path(self, store, capsys):
         assert run(store, "publish", "srv1", "/nonexistent.json") == 2
 
+    @pytest.mark.parametrize("doc", [{}, {"id": 5, "product": "p", "version": "1.0"}, {"id": "u", "x": 1}])
+    def test_an_ill_shaped_manifest_is_corrupt_naming_the_file(self, store, tmp_path, capsys, doc):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        before = (store / HEAD_FILE).read_text()
+        assert run(store, "publish", "srv1", str(manifest), fmt="text") == 2
+        assert capsys.readouterr().err.startswith(f"error [CORRUPT]: {manifest}: ")
+        assert (store / HEAD_FILE).read_text() == before
+        # The same manifest sent as a protocol request is still the request's fault.
+        resp = svc.LocalEngine(store).handle({"op": "publish", "server": "srv1", "manifest": doc})
+        assert resp["error"]["code"] == "USAGE"
+
 
 class TestInputCap:
     """A manifest, an enterprise or a scenario file is read up to

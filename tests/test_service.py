@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_enterprise, make_unit
 from orya import service as svc
+from orya.engine import STALE_RERUNS
 from orya import universe as universe_mod
 from orya.process import MAX_PROGRESS_POINTS, Activity, ActivityKind, ProcessDef, Seq
 from orya.units import unit_to_json
@@ -664,21 +665,41 @@ class TestTwoEngines:
         assert units == ["editor-1.2", "editor-1.3"]
         assert universe_digest(b.universe) == universe_digest(open_universe(store))
 
-    def test_a_second_refusal_answers_locked_with_nothing_written(self, store, monkeypatch):
+    def test_a_refusal_past_the_rerun_bound_answers_locked_with_nothing_written(self, store, monkeypatch):
         a, b = svc.LocalEngine(store), svc.LocalEngine(store)
-        reopen = b.store.reopen
+        reopen, published = b.store.reopen, ["editor-1.2"]
 
         def reopen_then_another_commit():
             reopen()
-            assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.0", ())})["ok"]
+            version = f"1.{len(published) + 3}"  # 1.4, 1.5, ...
+            assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest(version, ())})["ok"]
+            published.append(f"editor-{version}")
 
         monkeypatch.setattr(b.store, "reopen", reopen_then_another_commit)
         assert a.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest()})["ok"]
         resp = b.handle({"op": "publish", "server": "srv1", "manifest": editor_manifest("1.3")})
         assert resp["error"]["code"] == "LOCKED"
+        assert len(published) == 1 + STALE_RERUNS  # each re-run was refused in turn
         # b wrote nothing: the head is the one a's last commit left.
         assert int((store / HEAD_FILE).read_text()) == a.store.generation
-        assert [unit.id for unit in open_universe(store).catalog["srv1"]] == ["editor-1.0", "editor-1.2"]
+        assert [unit.id for unit in open_universe(store).catalog["srv1"]] == sorted(published)
+
+    def test_a_rerun_within_the_bound_commits(self, store, monkeypatch):
+        a, b = svc.LocalEngine(store), svc.LocalEngine(store)
+        reopen, reruns = b.store.reopen, []
+
+        def reopen_then_another_commit():
+            reopen()
+            reruns.append(len(reruns))
+            if len(reruns) < STALE_RERUNS:  # every re-run but the last is refused
+                assert set_prop(a, site="site1", name="ram", value=f"{len(reruns)}GB")["ok"]
+
+        monkeypatch.setattr(b.store, "reopen", reopen_then_another_commit)
+        assert set_prop(a, site="site1", name="ram", value="9GB")["ok"]
+        assert set_prop(b, site="site2", name="ram", value="9GB")["ok"]
+        assert len(reruns) == STALE_RERUNS
+        props = {m.id: m.properties for m in open_universe(store).enterprise.machines}
+        assert (str(props["site1"]["ram"]), str(props["site2"]["ram"])) == (f"{STALE_RERUNS - 1}GB", "9GB")
 
 
 class TestTransports:

@@ -221,7 +221,7 @@ class TestHead:
 
 
 class TestReclaim:
-    def test_a_killed_holders_lock_is_reclaimed(self, tmp_path):
+    def test_a_killed_holders_lock_is_reclaimed(self, tmp_path, short_lock_wait):
         root = tmp_path / "u"
         engine = small_store(root)
         held = SPAWN.Event()
@@ -239,7 +239,7 @@ class TestReclaim:
         assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
         assert not (root / LOCK_FILE).exists()
 
-    def test_a_lock_not_known_dead_is_kept(self, tmp_path):
+    def test_a_lock_not_known_dead_is_kept(self, tmp_path, short_lock_wait):
         root = tmp_path / "u"
         engine = small_store(root)
         for text, writer in (
@@ -260,7 +260,7 @@ class TestReclaim:
         assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
         assert not (root / LOCK_FILE).exists()
 
-    def test_a_lock_over_its_cap_names_no_holder_and_is_kept(self, tmp_path, monkeypatch):
+    def test_a_lock_over_its_cap_names_no_holder_and_is_kept(self, tmp_path, monkeypatch, short_lock_wait):
         root = tmp_path / "u"
         engine = small_store(root)
         text = lock_text(dead_pid(), "dead")
@@ -285,7 +285,7 @@ class TestReclaim:
         assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
         assert not (root / LOCK_FILE).exists()
 
-    def test_two_reclaimers_cannot_both_win(self, tmp_path):
+    def test_two_reclaimers_cannot_both_win(self, tmp_path, short_lock_wait):
         root = tmp_path / "u"
         small_store(root)
         dead = lock_text(dead_pid(), "dead")

@@ -36,12 +36,15 @@ from orya.process import (
     TraceStatus,
     process_digest,
 )
+from orya.engine import USAGE_ERROR_CODES
+from orya.report import status
 from orya.service import LocalEngine
 from orya.units import unit_to_json
 from orya.universe import (
     DeployMode,
     DeploymentRecord,
     HEAD_FILE,
+    INDEX_FILE,
     LOCK_FILE,
     Store,
     cross_validate,
@@ -280,7 +283,7 @@ class TestCorruption:
 
 
 class TestLocking:
-    def test_second_writer_locked(self, tmp_path):
+    def test_second_writer_locked(self, tmp_path, short_lock_wait):
         root = tmp_path / "u"
         u = base_universe(root)
         save_universe(u)
@@ -451,9 +454,10 @@ class TestDigest:
         assert u.deployments
 
 
-def digest_store(root, seed):
-    """A three-site store with three published units, served by an engine."""
-    sites = {f"s{i}": ({"os": "linux", "ram": "4GB", "disk.free": "100GB"}, ()) for i in range(3)}
+def digest_store(root, seed, sites=3):
+    """A store of ``sites`` sites s0.. with three published units, served by
+    an engine."""
+    sites = {f"s{i}": ({"os": "linux", "ram": "4GB", "disk.free": "100GB"}, ()) for i in range(sites)}
     save_universe(replace(empty_universe(root), enterprise=make_enterprise(sites)))
     engine = LocalEngine(root)
     for n in range(3):
@@ -468,7 +472,7 @@ class TestWarmDigest:
     single-pass oracle."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_digest_matches_oracle_after_every_op(self, tmp_path, monkeypatch, seed):
+    def test_digest_matches_oracle_after_every_op(self, tmp_path, monkeypatch, short_lock_wait, seed):
         full = count_full_passes(monkeypatch)
         rng = random.Random(seed)
         engines = [digest_store(tmp_path / name, f"{seed}{name}") for name in "ab"]
@@ -601,6 +605,189 @@ def count_full_passes(monkeypatch):
 
     monkeypatch.setattr(universe_mod, "_hash_records", spy)
     return full
+
+
+def count_listings(monkeypatch):
+    """Record the record ids each ``Store`` adds to its sites' lists."""
+    listed, add_sites = [], Store._add_sites
+
+    def spy(store, sites, ids):
+        listed.append(list(ids))
+        return add_sites(store, sites, ids)
+
+    monkeypatch.setattr(Store, "_add_sites", spy)
+    return listed
+
+
+def count_refusals(monkeypatch):
+    """Record each commit refused because the head moved since its read."""
+    refused, save = [], universe_mod.save_universe
+
+    def spy(u, path=None, *, store=None):
+        try:
+            return save(u, path, store=store)
+        except StoreChangedError:
+            refused.append(path)
+            raise
+
+    monkeypatch.setattr(universe_mod, "save_universe", spy)
+    return refused
+
+
+STATUS_FILTERS = (
+    {}, {"product": "p0"}, {"product": "prod"}, {"outcome": "SUCCESS"}, {"outcome": "ROLLED_BACK"},
+    {"mode": "PUSH"}, {"mode": "RECONFIGURE"}, {"product": "prod", "outcome": "SUCCESS", "mode": "PULL"},
+)
+# s3 never gets a record, and no machine is called "nowhere".
+STATUS_SITES = ("s0", "s1", "s2", "s3", "nowhere")
+
+
+def write(engine, req):
+    """Run a write op; a stale engine re-runs it on what another committed,
+    where it may be refused, but never LOCKED or worse."""
+    resp = engine.handle(req)
+    assert resp["ok"] or resp["error"]["code"] not in USAGE_ERROR_CODES, resp
+
+
+def assert_site_statuses(engine):
+    """Every site's status through ``engine``, alone and with each filter,
+    is what a scan of every record of its universe answers."""
+    u = engine.universe
+    for site in STATUS_SITES:
+        for filters in STATUS_FILTERS:
+            answer = engine.handle({"op": "status", "site": site, **filters})
+            assert answer["report"] == status(u, site=site, **filters).to_json(), (site, filters)
+
+
+class TestWarmStatus:
+    """A ``Store`` lists each site's record ids once and extends the lists by
+    the records its commits add; whatever a sequence of ops does, a site's
+    status equals a scan of every record."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_site_status_matches_a_full_scan_after_every_op(self, tmp_path, monkeypatch, short_lock_wait, seed):
+        listed, refused = count_listings(monkeypatch), count_refusals(monkeypatch)
+        reopens, reopen, builds, site_ids = [], Store.reopen, [], Store._site_ids
+
+        def counted_reopen(store):
+            reopens.append(store)
+            reopen(store)
+
+        def counted_site_ids(store, site):
+            if store._sites is None:
+                builds.append(store)
+            return site_ids(store, site)
+
+        monkeypatch.setattr(Store, "reopen", counted_reopen)
+        monkeypatch.setattr(Store, "_site_ids", counted_site_ids)
+        rng = random.Random(seed)
+        a = digest_store(tmp_path / "a", f"{seed}a", sites=4)
+        engines = [a, LocalEngine(tmp_path / "a"), digest_store(tmp_path / "b", f"{seed}b", sites=4)]
+        for step in range(60):
+            engine = rng.choice(engines)  # the first two share a store, so either may be stale
+            u = engine.universe
+            published = [unit for units in u.catalog.values() for unit in units]
+            deployed = [
+                (site, du) for site, state in sorted(u.site_states.items())
+                for du in state.deployed_units if du.state in PRESENT
+            ]
+            site = rng.choice(["s0", "s1", "s2"])
+            op = rng.choice(["deploy", "deploy", "toggle", "toggle", "set_prop", "pull", "publish",
+                             "unpublish", "record", "failed_save", "reopen"])
+            if op == "deploy" and published:
+                sites = rng.sample(["s0", "s1", "s2"], rng.randrange(1, 4))
+                req = {"op": "deploy", "product": rng.choice(published).product_id, "sites": sites}
+                write(engine, req)
+            elif op == "toggle" and deployed:
+                site, du = rng.choice(deployed)
+                toggle = "deactivate" if du.state == "ACTIVE" else "activate"
+                write(engine, {"op": toggle, "site": site, "unit": du.unit_id})
+            elif op == "set_prop":
+                write(engine, {"op": "set_prop", "site": site, "name": "ram", "value": rng.choice(["2GB", "8GB"])})
+            elif op == "pull":
+                write(engine, {"op": "pull", "site": site, "product": rng.choice(["p0", "p1"])})
+            elif op == "publish":
+                unit = make_unit(f"{seed}-v{step}", product=rng.choice(["p0", "p1"]))
+                write(engine, {"op": "publish", "server": "srv1", "manifest": unit_to_json(unit)})
+            elif op == "unpublish" and published:
+                write(engine, {"op": "unpublish", "server": "srv1", "unit": rng.choice(published).id})
+            elif op == "record":  # any mode and outcome, committed straight through the store
+                record = make_record(u.next_deployment_id(), site=site, mode=rng.choice(list(DeployMode)))
+                record = replace(record, trace=replace(record.trace, status=rng.choice(list(TraceStatus))))
+                try:
+                    engine.store.commit(record_deployment(u, record))
+                except StoreChangedError:
+                    engine.store.reopen()
+            elif op == "failed_save":
+                lock = engine.store.root / LOCK_FILE
+                lock.write_text("other")
+                req = {"op": "set_prop", "site": "s0", "name": "ram", "value": rng.choice(["2GB", "8GB"])}
+                assert engine.handle(req)["error"]["code"] == "LOCKED"
+                lock.unlink()
+                assert engine.universe is u  # nothing was written
+            elif op == "reopen":
+                engine.store.reopen()
+            for each in engines:
+                assert_site_statuses(each)
+        assert refused  # a stale engine's commit was refused, and it read the store again
+        # Ids are listed in full at most once per read of a store; otherwise
+        # the lists grew by the records each commit added.
+        assert 0 < len(builds) <= len(reopens)
+        assert len(listed) > len(builds)
+
+    def test_a_store_without_index_lines(self, tmp_path):
+        root = tmp_path / "u"
+        engine = digest_store(root, "x", sites=4)
+        for product, sites in (("p0", ["s0", "s1", "s2"]), ("p1", ["s1"])):
+            assert engine.handle({"op": "deploy", "product": product, "sites": sites})["ok"]
+        (root / "deployments" / INDEX_FILE).unlink()  # as a store written before the index
+        engine = LocalEngine(root)
+        assert all("_unread" not in r.__dict__ for r in engine.universe.deployments.values())
+        assert_site_statuses(engine)
+        assert engine.handle({"op": "status", "site": "s3"})["report"]["entries"] == []
+        unit = engine.universe.site_states["s1"].deployed_units[0].unit_id
+        assert engine.handle({"op": "deactivate", "site": "s1", "unit": unit})["ok"]
+        assert_site_statuses(engine)
+
+    def test_a_commit_lists_only_the_records_it_adds(self, tmp_path, monkeypatch):
+        engine = digest_store(tmp_path / "u", "x")
+        for _ in range(3):
+            assert engine.handle({"op": "deploy", "product": "p0", "sites": ["s0", "s1", "s2"]})["ok"]
+        assert engine.handle({"op": "status", "site": "s1"})["ok"]  # lists every record once
+        listed = count_listings(monkeypatch)
+        expected = []
+        unit = engine.universe.site_states["s1"].deployed_units[0].unit_id
+        for step in range(6):
+            expected.append([engine.universe.next_deployment_id()])
+            toggle = "deactivate" if step % 2 == 0 else "activate"
+            assert engine.handle({"op": toggle, "site": "s1", "unit": unit})["ok"]
+            answer = engine.handle({"op": "status", "site": "s1"})
+            assert answer["report"] == status(engine.universe, site="s1").to_json()
+        assert listed == expected  # one id per toggle; no status listed the store again
+
+    def test_other_universes_and_unsited_statuses_scan(self, tmp_path, monkeypatch):
+        engine = digest_store(tmp_path / "u", "x")
+        assert engine.handle({"op": "deploy", "product": "p0", "sites": ["s0", "s1", "s2"]})["ok"]
+        store, u = engine.store, engine.universe
+        listed = count_listings(monkeypatch)
+
+        def ids(*args, **filters):
+            return [r.id for r in query_status(*args, **filters)]
+
+        assert ids(u, store=store) == ids(u)  # no site: a scan
+        assert listed == []
+        dropped = {rid: r for rid, r in u.deployments.items() if rid != "d000000"}
+        other = replace(u, deployments=dropped)
+        assert ids(other, "s0", store=store) == ids(other, "s0")
+        assert listed == []  # not the store's universe: a scan
+        assert ids(u, "s0", store=store) == ids(u, "s0")
+        assert listed == [sorted(u.deployments)]
+        # A commit whose ids leave a gap drops the lists, and later records
+        # could sort before the last: its site statuses scan.
+        store.commit(record_deployment(u, make_record(f"d{len(u.deployments) + 1:06d}", site="s0")))
+        assert store._sites is None
+        assert ids(store.universe, "s0", store=store) == ids(store.universe, "s0")
+        assert store._sites is None and len(listed) == 1
 
 
 class TestWriteRules:
