@@ -135,7 +135,9 @@ class Engine:
         from .safety import SafetyPolicy
 
         policy = SafetyPolicy(req.get("policy", "reject"))
-        return self._site_op("pull_update", req["site"], req["product"], policy=policy)
+        return self._site_op(
+            "pull_update", req["site"], req["product"], policy=policy, store=self.store
+        )
 
     def op_undeploy(self, req):
         force = bool(req.get("force", False))
@@ -149,10 +151,10 @@ class Engine:
 
     def _site_op(self, name, site, target, **options):
         """The orchestrator's ``name`` over one site's ``target`` (a product
-        or unit) on a fresh fleet, committed."""
+        or unit) on a fleet holding that site, committed."""
         from . import orchestrator as orch
 
-        fleet = self._fleet(self.universe)
+        fleet = self._fleet(self.universe, (site,))
         u, report = getattr(orch, name)(self.universe, site, target, fleet, **options)
         self._commit(u, fleet)
         return _report_response(report)
@@ -165,7 +167,7 @@ class Engine:
         value = None if remove else value_from_json(req["value"])
         from . import orchestrator as orch
 
-        fleet = self._fleet(self.universe)
+        fleet = self._fleet(self.universe, (site_id,))
         event = fleet.sites[site_id].set_property(name, value, remove=remove)
         result = orch.on_property_change(
             self.universe, site_id, event, fleet, apply=bool(req.get("apply", False))
@@ -204,11 +206,13 @@ class LocalEngine(Engine):
     def universe(self) -> Universe:
         return self.store.universe
 
-    def _fleet(self, u: Universe) -> Fleet:
-        """The fleet a write op runs on: a fresh one per op over ``u``."""
+    def _fleet(self, u: Universe, site_ids=None) -> Fleet:
+        """The fleet a write op runs on: a fresh one per op over ``u``,
+        holding the app servers and the client sites ``site_ids`` names, or
+        every client site when it is None (a push)."""
         from .simharness import build_fleet
 
-        return build_fleet(u)
+        return build_fleet(u, site_ids)
 
     def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:
         if fleet is not None:
@@ -225,7 +229,7 @@ class ScenarioEngine(Engine):
     def __init__(self, u: Universe, fleet: Fleet):
         self.universe, self.store, self.fleet = u, None, fleet
 
-    def _fleet(self, u: Universe) -> Fleet:
+    def _fleet(self, u: Universe, site_ids=None) -> Fleet:
         return self.fleet
 
     def _commit(self, u: Universe, fleet: Fleet | None = None) -> None:

@@ -93,6 +93,18 @@ class EnterpriseModel:
             f'"roles":{canonical_json(list(self.roles))},"users":{users}}}'
         )
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each machine id -> the position of the last machine with that id,
+        the one machine every reader takes for the id."""
+        return {m.id: i for i, m in enumerate(self.machines)}
+
+    @cached_property
+    def app_servers(self) -> tuple[str, ...]:
+        """The ids whose last machine is an app server, in ``positions`` order."""
+        machines, server = self.machines, MachineKind.APP_SERVER
+        return tuple(mid for mid, i in self.positions.items() if machines[i].kind is server)
+
 
 @dataclass(frozen=True)
 class DeployedUnit:
@@ -284,7 +296,8 @@ def resolve_targets(model: EnterpriseModel, target) -> set[str]:
 
 
 def lookup_machine(model: EnterpriseModel, machine_id: str) -> Machine:
-    for m in model.machines:
+    """The last machine with ``machine_id``, as every other reader takes it."""
+    for m in reversed(model.machines):
         if m.id == machine_id:
             return m
     raise UnknownTargetError(f"unknown machine {machine_id!r}")

@@ -41,7 +41,9 @@ from .units import PackagedUnit
 from .universe import (
     DeployMode,
     DeploymentRecord,
+    Store,
     Universe,
+    query_status,
     record_deployment,
     set_site_state,
 )
@@ -292,15 +294,16 @@ def pull_update(
     product_id: str,
     fleet,
     policy: SafetyPolicy = SafetyPolicy.REJECT,
+    store: Store | None = None,
 ) -> tuple[Universe, FleetReport]:
     """User-requested update of one deployed product on one site.
 
     Only candidates strictly newer than the deployed version are considered;
     the chosen one replaces the old unit in place (deactivate, update,
-    re-activate when the unit was active)."""
-    if not any(
-        r.site_id == site_id and r.product_id == product_id for r in u.deployments.values()
-    ):
+    re-activate when the unit was active). Whether the product was ever
+    deployed there is read, as ``query_status`` reads it, from the site's
+    records alone when ``u`` is the universe of ``store``."""
+    if not query_status(u, site=site_id, product=product_id, store=store):
         raise NotDeployedError(f"product {product_id!r} was never deployed to {site_id!r}")
     handle = fleet.sites[site_id]
     state = handle.get_state()

@@ -3,7 +3,8 @@ plus the scenario runner that drives the engine over one such fleet.
 
 Sites hold the store's own frozen values: their enterprise ``Machine`` (the one
 home of their properties and standing constraints, swapped for a new value on
-every change and folded back by ``sync_properties``) and their
+every change and folded back by ``sync_properties`` for the sites a fleet
+holds: one for a single-site op, every site for a push or a scenario) and their
 ``DeployedUnit`` entries. They keep a flat keyed file namespace instead of a
 real filesystem, consume integer virtual-clock ticks per primitive, and
 support bit-exact snapshot and restore (the compensation oracle). App servers hold no unit table: the deployment service
@@ -398,29 +399,43 @@ class Fleet:
     call_log: list[CallLogEntry] = field(default_factory=list)
 
 
-def build_fleet(u: Universe) -> Fleet:
-    """Spin up simulated role handles for every machine in the universe."""
+def build_fleet(u: Universe, site_ids=None) -> Fleet:
+    """Spin up a role handle for every app server and for each client site
+    that ``site_ids`` names, every client site when it is None. An id names
+    the last machine with that id, as ``cross_validate`` reads it, so an id
+    whose last machine is no client site gets no site handle. A single-site
+    op builds its one site; a push and a scenario build every site."""
     clock = VirtualClock()
     call_log: list[CallLogEntry] = []
+    machines, positions = u.enterprise.machines, u.enterprise.positions
+    servers = {mid: SimulatedAppServer(mid, clock, call_log) for mid in u.enterprise.app_servers}
     sites: dict[str, SimulatedSite] = {}
-    servers: dict[str, SimulatedAppServer] = {}
-    for m in u.enterprise.machines:
-        if m.kind is MachineKind.CLIENT_SITE:
-            sites[m.id] = SimulatedSite(m, clock, call_log, state=u.site_states.get(m.id))
-        else:
-            servers[m.id] = SimulatedAppServer(m.id, clock, call_log)
+    client = MachineKind.CLIENT_SITE
+    for sid in positions if site_ids is None else site_ids:
+        i = positions.get(sid)
+        if i is not None and machines[i].kind is client:
+            sites[sid] = SimulatedSite(machines[i], clock, call_log, state=u.site_states.get(sid))
     return Fleet(sites=sites, servers=servers, clock=clock, call_log=call_log)
 
 
 def sync_properties(u: Universe, fleet: Fleet) -> Universe:
-    """Fold each live site's machine back into the enterprise model. A machine
-    no op changed stays the same object; with none changed, ``u`` is returned."""
-    machines = tuple(
-        fleet.sites[m.id].machine if m.id in fleet.sites else m for m in u.enterprise.machines
-    )
-    if all(new is old for new, old in zip(machines, u.enterprise.machines)):
+    """Fold the machine of each site ``fleet`` holds back into the enterprise
+    model, at the position of the last machine with its id, the one
+    ``build_fleet`` hands over. Only the fleet's sites are looked at; a
+    machine no op changed stays the same object, and with none changed ``u``
+    is returned."""
+    machines, positions = u.enterprise.machines, u.enterprise.positions
+    swapped = {}
+    for sid, site in fleet.sites.items():
+        i = positions[sid]
+        if site.machine is not machines[i]:
+            swapped[i] = site.machine
+    if not swapped:
         return u
-    return replace(u, enterprise=replace(u.enterprise, machines=machines))
+    machines = list(machines)
+    for i, machine in swapped.items():
+        machines[i] = machine
+    return replace(u, enterprise=replace(u.enterprise, machines=tuple(machines)))
 
 
 def inject(fleet: Fleet, plan) -> Fleet:

@@ -859,8 +859,7 @@ def _server_units(u: Universe, server_id: str) -> tuple[PackagedUnit, ...]:
     """The units published on ``server_id``; UnknownTargetError unless the
     last machine with that id, as ``cross_validate`` reads it, is an app
     server."""
-    m = next((m for m in reversed(u.enterprise.machines) if m.id == server_id), None)
-    if m is None or m.kind is not MachineKind.APP_SERVER:
+    if server_id not in u.enterprise.app_servers:
         raise UnknownTargetError(f"{server_id!r} is not an app server")
     return u.catalog.get(server_id, ())
 

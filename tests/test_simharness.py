@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,9 @@ from orya.simharness import (
     run_scenario,
     sync_properties,
 )
-from orya.universe import empty_universe, publish_unit
+from orya.service import LocalEngine
+from orya.units import unit_to_json
+from orya.universe import Store, empty_universe, publish_unit, save_universe
 from orya.values import Size
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -290,3 +294,219 @@ class TestScenarios:
         report = run_scenario(doc)
         assert not report.passed
         assert "ABSENT" in report.results[0].detail
+
+
+# ---------------------------------------------------------------------------
+# A write op's fleet: its one site, the app servers and the same answers
+
+
+class FullFleetEngine(LocalEngine):
+    """The reference: every write op runs on the whole fleet, and a pull
+    scans every record for the site's history."""
+
+    def _fleet(self, u, site_ids=None):
+        return build_fleet(u)
+
+    def _site_op(self, name, site, target, **options):
+        if "store" in options:
+            options["store"] = None
+        return super()._site_op(name, site, target, **options)
+
+
+def store_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def fleet_store(root: Path) -> None:
+    """Six sites s0..s5 with s0-s3 deployed, two servers, a product with a
+    newer version and an update that needs more ram."""
+    sites = {
+        f"s{i}": ({"os": "linux", "ram": f"{2 + 2 * (i % 3)}GB", "disk.free": "100GB"}, ())
+        for i in range(6)
+    }
+    save_universe(
+        replace(empty_universe(root), enterprise=make_enterprise(sites, servers=("srv1", "srv2")))
+    )
+    engine = LocalEngine(root)
+    manifests = [
+        ("srv1", make_unit("ed-1", product="ed", version="1.0", resources=[("bin", 5, "x")])),
+        ("srv1", make_unit("lib-1", product="lib", provides=[("liblib", "1.0")])),
+        ("srv2", make_unit("app-1", product="app", requires=[("liblib", "1.0")])),
+    ]
+    for server, unit in manifests:
+        assert engine.handle({"op": "publish", "server": server, "manifest": unit_to_json(unit)})["ok"]
+    for product in ("ed", "lib", "app"):
+        req = {"op": "deploy", "product": product, "sites": ["s0", "s1", "s2", "s3"]}
+        assert engine.handle(req)["ok"]
+    for server, unit in (
+        ("srv2", make_unit("ed-2", product="ed", version="2.0", constraints=["ram >= 4GB"])),
+        ("srv1", make_unit("ed-3", product="ed", version="3.0", constraints=["ram >= 6GB"])),
+    ):
+        assert engine.handle({"op": "publish", "server": server, "manifest": unit_to_json(unit)})["ok"]
+
+
+def count_sites_built(monkeypatch) -> list:
+    built, init = [], SimulatedSite.__init__
+
+    def counted(site, machine, *args, **kwargs):
+        built.append(machine.id)
+        init(site, machine, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedSite, "__init__", counted)
+    return built
+
+
+class TestOneSiteFleet:
+    """A single-site op builds only its site: its answers, the store's
+    files and the digest are those of the same op on the whole fleet."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_answers_and_store_match_the_full_fleet(self, tmp_path, monkeypatch, seed):
+        fleet_store(tmp_path / "one")
+        shutil.copytree(tmp_path / "one", tmp_path / "full")
+        one, full = LocalEngine(tmp_path / "one"), FullFleetEngine(tmp_path / "full")
+        built = count_sites_built(monkeypatch)
+        rng = random.Random(seed)
+        client_sites = ("s0", "s1", "s2", "s3", "s4")
+        for _ in range(80):
+            site = rng.choice(client_sites + ("nowhere", "srv1"))
+            state = one.universe.site_states.get(site)
+            on_site = {du.unit_id: du.state for du in state.deployed_units} if state else {}
+            unit = rng.choice(sorted(on_site) + ["ghost"]) if rng.random() < 0.9 else "ed-1"
+            op = rng.choice(["toggle", "toggle", "pull", "set_prop", "set_prop", "undeploy", "deploy"])
+            if op == "toggle":
+                legal = "deactivate" if on_site.get(unit) == "ACTIVE" else "activate"
+                flip = {"activate": "deactivate", "deactivate": "activate"}
+                req = {"op": legal if rng.random() < 0.8 else flip[legal], "site": site, "unit": unit}
+            elif op == "undeploy":
+                req = {"op": op, "site": site, "unit": unit, "force": rng.random() < 0.5}
+            elif op == "pull":
+                req = {"op": op, "site": site, "product": rng.choice(["ed", "ed", "lib", "ghost"])}
+            elif op == "deploy":  # both engines push on the whole fleet
+                product = rng.choice(["ed", "lib", "app"])
+                req = {"op": op, "product": product, "sites": [f"s{i}" for i in range(5)]}
+            else:
+                req = {"op": op, "site": site, "name": "ram", "apply": rng.random() < 0.5}
+                if rng.random() < 0.15:
+                    req["remove"] = True
+                else:
+                    req["value"] = rng.choice(["2GB", "4GB", "6GB", "8GB"])
+            del built[:]
+            answer = one.handle(req)
+            if op == "deploy":
+                assert len(built) == 6, req
+            else:
+                assert built == ([site] if site in client_sites else []), req
+            assert answer == full.handle(req), req
+            assert one.handle({"op": "digest"}) == full.handle({"op": "digest"})
+        assert store_files(tmp_path / "one") == store_files(tmp_path / "full")
+
+    def test_a_site_op_builds_one_site(self, tmp_path, monkeypatch):
+        fleet_store(tmp_path / "u")
+        engine = LocalEngine(tmp_path / "u")
+        built = count_sites_built(monkeypatch)
+        for req in (
+            {"op": "deactivate", "site": "s1", "unit": "ed-1"},
+            {"op": "activate", "site": "s1", "unit": "ed-1"},
+            {"op": "pull", "site": "s2", "product": "ed"},
+            {"op": "set_prop", "site": "s3", "name": "ram", "value": "2GB", "apply": True},
+            {"op": "undeploy", "site": "s0", "unit": "app-1"},
+        ):
+            del built[:]
+            assert engine.handle(req)["ok"], req
+            assert built == [req["site"]], req
+        del built[:]
+        assert engine.handle({"op": "deploy", "product": "ed", "group": "all"})["ok"]
+        assert sorted(built) == [f"s{i}" for i in range(6)]  # a push builds every site
+
+    @pytest.mark.parametrize(
+        "req",
+        [
+            {"op": "activate", "site": "nowhere", "unit": "ed-1"},
+            {"op": "undeploy", "site": "srv1", "unit": "ed-1"},
+            {"op": "pull", "site": "srv2", "product": "ed"},
+            {"op": "pull", "site": "s4", "product": "ed"},
+            {"op": "pull", "site": "s0", "product": "ghost"},
+            {"op": "set_prop", "site": "nowhere", "name": "ram", "value": "2GB"},
+            {"op": "set_prop", "site": "srv1", "name": "ram", "value": "2GB"},
+        ],
+    )
+    def test_unknown_sites_and_servers_answer_as_before(self, tmp_path, req):
+        fleet_store(tmp_path / "u")
+        engine = LocalEngine(tmp_path / "u")
+        before = store_files(tmp_path / "u")
+        answer = engine.handle(req)
+        if req["op"] == "pull":
+            message = f"product {req['product']!r} was never deployed to {req['site']!r}"
+            expected = ("NOT_DEPLOYED", message)
+        elif req["op"] == "set_prop":
+            expected = ("UNKNOWN_TARGET", "unknown machine 'nowhere'" if req["site"] == "nowhere"
+                        else "machine 'srv1' is not a client site")
+        else:  # the fleet has no site of that id
+            expected = ("USAGE", repr(req["site"]))
+        assert answer == {"ok": False, "error": {"code": expected[0], "message": expected[1]}}
+        assert store_files(tmp_path / "u") == before
+
+    def test_a_warm_pull_reads_the_sites_record_ids(self, tmp_path, monkeypatch):
+        fleet_store(tmp_path / "u")
+        engine = LocalEngine(tmp_path / "u")
+        read, site_ids = [], Store._site_ids
+
+        def spy(store, site):
+            read.append(site)
+            return site_ids(store, site)
+
+        monkeypatch.setattr(Store, "_site_ids", spy)
+        assert engine.handle({"op": "pull", "site": "s1", "product": "ed"})["ok"]
+        answer = engine.handle({"op": "pull", "site": "s4", "product": "ed"})
+        assert answer["error"]["code"] == "NOT_DEPLOYED"
+        assert read == ["s1", "s4"]
+
+
+def duplicate_id_store(root: Path, kinds) -> LocalEngine:
+    """Machines a, then x once for each of ``kinds`` in order, then srv1."""
+    machines = [Machine("a", MachineKind.CLIENT_SITE, {"ram": Size.parse("2GB")})]
+    machines += [Machine("x", kind, {"ram": Size.parse("2GB")}) for kind in kinds]
+    machines.append(Machine("srv1", MachineKind.APP_SERVER))
+    enterprise = replace(make_enterprise({}), machines=tuple(machines), groups=(), users=())
+    save_universe(replace(empty_universe(root), enterprise=enterprise))
+    return LocalEngine(root)
+
+
+class TestDuplicateMachineIds:
+    """An id names the last machine with that id, for every reader; a
+    property change folds back into that one position."""
+
+    def test_a_client_site_after_an_app_server_takes_the_id(self, tmp_path):
+        engine = duplicate_id_store(tmp_path / "u", (MachineKind.APP_SERVER, MachineKind.CLIENT_SITE))
+        before = engine.universe.enterprise.machines
+        answer = engine.handle({"op": "set_prop", "site": "x", "name": "ram", "value": "8GB"})
+        assert answer["ok"] and answer["noop"] is False, answer
+        after = LocalEngine(tmp_path / "u").universe.enterprise.machines
+        assert [m.kind for m in after] == [m.kind for m in before]
+        assert after[1] == before[1]  # the app server is untouched
+        assert after[2].properties["ram"] == Size.parse("8GB")
+        fleet = build_fleet(engine.universe)
+        assert fleet.sites["x"].machine is engine.universe.enterprise.machines[2]
+        assert sorted(fleet.servers) == ["srv1"]
+
+    def test_an_app_server_after_a_client_site_takes_the_id(self, tmp_path):
+        engine = duplicate_id_store(tmp_path / "u", (MachineKind.CLIENT_SITE, MachineKind.APP_SERVER))
+        before = store_files(tmp_path / "u")
+        answer = engine.handle({"op": "set_prop", "site": "x", "name": "ram", "value": "8GB"})
+        assert answer == {
+            "ok": False,
+            "error": {"code": "UNKNOWN_TARGET", "message": "machine 'x' is not a client site"},
+        }
+        assert store_files(tmp_path / "u") == before
+        fleet = build_fleet(engine.universe)
+        assert sorted(fleet.sites) == ["a"] and sorted(fleet.servers) == ["srv1", "x"]
+
+    def test_two_client_sites_fold_back_into_the_last(self, tmp_path):
+        engine = duplicate_id_store(tmp_path / "u", (MachineKind.CLIENT_SITE, MachineKind.CLIENT_SITE))
+        before = engine.universe.enterprise.machines
+        assert engine.handle({"op": "set_prop", "site": "x", "name": "ram", "value": "8GB"})["ok"]
+        after = engine.universe.enterprise.machines
+        assert after[:2] == before[:2] and after[1] is before[1]
+        assert after[2].properties["ram"] == Size.parse("8GB")
+        assert lookup_machine(engine.universe.enterprise, "x") is after[2]
