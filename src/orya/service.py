@@ -5,6 +5,14 @@ by a ``LocalEngine`` (``engine.py``) on the service's store.
 A service loads every layer an op may run when it starts (the orchestrator
 and the simulated fleet, which a cold read process skips), so no request
 pays for an import.
+
+Every answer is one line whose bytes are those of
+``json.dumps(resp, sort_keys=True) + "\\n"``. A report of more than
+``SLICE_ENTRIES`` site entries (a group push answers one per site) is
+encoded and written ``SLICE_ENTRIES`` entries at a time, so the service
+holds one slice of text, never the whole line; a smaller answer is one
+encode and one write. ``request``, the client, reads an answer in time
+linear in its length.
 """
 
 from __future__ import annotations
@@ -22,6 +30,18 @@ from .engine import LocalEngine, _error
 # discarded up to its newline and answered USAGE, so one endless line cannot
 # grow the service's memory without bound.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+# Site entries per encoded slice of a long answer. A slice is small because
+# the C encoder holds several times a slice's text while it encodes it; a
+# 1000-site push answer of 7 MB goes out in slices of about 110 KB.
+SLICE_ENTRIES = 16
+
+# A background service polls for shutdown this often (a foreground one stops
+# on SIGINT), so that ``ServiceServer.shutdown`` returns within it.
+BACKGROUND_POLL_S = 0.02
+
+# The C encoder behind ``json.dumps(..., sort_keys=True)``, made once.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 # ---------------------------------------------------------------------------
 # Socket transport
@@ -44,7 +64,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
                 while (rest := self.rfile.readline(MAX_REQUEST_BYTES + 1)) and not rest.endswith(b"\n"):
                     pass
-                self._answer(_error("USAGE", f"request line longer than {MAX_REQUEST_BYTES} bytes"))
+                write_answer(self.wfile, _error("USAGE", f"request line longer than {MAX_REQUEST_BYTES} bytes"))
                 continue
             try:
                 line = raw.decode().strip()
@@ -62,11 +82,32 @@ class _Handler(socketserver.StreamRequestHandler):
 
                         traceback.print_exc()
                         resp = _error("INTERNAL", f"{type(err).__name__}: {err}")
-            self._answer(resp)
+            write_answer(self.wfile, resp)
 
-    def _answer(self, resp: dict) -> None:
-        self.wfile.write((json.dumps(resp, sort_keys=True) + "\n").encode())
-        self.wfile.flush()
+
+def write_answer(wfile, resp: dict) -> None:
+    """Write ``resp`` to ``wfile`` as the bytes of
+    ``json.dumps(resp, sort_keys=True) + "\\n"``. A report of more than
+    SLICE_ENTRIES entries is encoded and written SLICE_ENTRIES entries at a
+    time; any other answer takes one encode and one write."""
+    report = resp.get("report")
+    entries = report.get("entries") if isinstance(report, dict) else None
+    if not isinstance(entries, list) or len(entries) <= SLICE_ENTRIES:
+        wfile.write((_encode(resp) + "\n").encode())
+        return
+    # The answer's text with no entries and with one empty entry differs
+    # first just inside the entries list: that index cuts the text before the
+    # entries from the text after them.
+    bare = _encode({**resp, "report": {**report, "entries": []}})
+    one = _encode({**resp, "report": {**report, "entries": [[]]}})
+    cut = next(i for i, (a, b) in enumerate(zip(bare, one)) if a != b)
+    wfile.write(bare[:cut].encode())
+    for start in range(0, len(entries), SLICE_ENTRIES):
+        if start:
+            wfile.write(b", ")
+        # The slice's text less its brackets, dropped once written.
+        wfile.write(memoryview(_encode(entries[start : start + SLICE_ENTRIES]).encode())[1:-1])
+    wfile.write((bare[cut:] + "\n").encode())
 
 
 class ServiceServer:
@@ -100,7 +141,9 @@ class ServiceServer:
         self._server.serve_forever()
 
     def start_background(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": BACKGROUND_POLL_S}, daemon=True
+        )
         self._thread.start()
 
     def shutdown(self):
@@ -111,22 +154,15 @@ class ServiceServer:
 
 
 def request(addr: str, req: dict, timeout: float = 10.0) -> dict:
-    """Send one request line to a service and read one response line."""
+    """Send one request line to a service and read one answer line."""
     kind, target = _parse_addr(addr)
-    if kind == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.settimeout(timeout)
-    try:
+    family = socket.AF_UNIX if kind == "unix" else socket.AF_INET
+    with socket.socket(family, socket.SOCK_STREAM) as sock:
+        sock.settimeout(timeout)
         sock.connect(target)
         sock.sendall((json.dumps(req) + "\n").encode())
-        buf = b""
-        while not buf.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buf += chunk
-        return json.loads(buf.decode())
-    finally:
-        sock.close()
+        with sock.makefile("rb") as answer:
+            line = answer.readline()
+    if not line.endswith(b"\n"):
+        raise OSError("connection closed mid-answer")
+    return json.loads(line)

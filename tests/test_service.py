@@ -1,6 +1,10 @@
+import io
 import json
 import random
 import socket
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -759,3 +763,247 @@ class TestTransports:
             sock.close()
         finally:
             server.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Answers written in slices of site entries
+
+
+def wire_bytes(resp):
+    """The bytes every answer must be: ``json.dumps`` with sorted keys, one line."""
+    return (json.dumps(resp, sort_keys=True) + "\n").encode()
+
+
+def written(resp):
+    sink = io.BytesIO()
+    svc.write_answer(sink, resp)
+    return sink.getvalue()
+
+
+# Sites enough for a push to answer in many slices.
+SLICED_SITES = 150
+
+
+@pytest.fixture(scope="class")
+def sliced_store(tmp_path_factory):
+    """SLICED_SITES sites, one in seven on bsd and of the rest one in three
+    on win, with editor-1.2 (linux), editor-1.0 (win) and viewer-1.0 (mac)
+    published."""
+    sites = {
+        f"site{i:03}": ({"os": "bsd" if i % 7 == 0 else "linux" if i % 3 else "win", "disk.free": "10GB"}, ())
+        for i in range(SLICED_SITES)
+    }
+    root = tmp_path_factory.mktemp("sliced") / "universe"
+    save_universe(replace(empty_universe(root), enterprise=make_enterprise(sites)))
+    engine = svc.LocalEngine(root)
+    viewer = unit_to_json(make_unit("viewer-1.0", product="viewer", constraints=('os = "mac"',)))
+    for manifest in (editor_manifest(), editor_manifest("1.0", ('os = "win"',)), viewer):
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
+    return root
+
+
+@pytest.fixture(scope="class")
+def sliced_answers(sliced_store):
+    """Each answer the writer is checked on, by name, in the order the ops ran."""
+    engine = svc.LocalEngine(sliced_store)
+    push = {"op": "deploy", "product": "editor", "group": "all"}
+    return {
+        "dry-run push": engine.handle({**push, "dry_run": True}),
+        "push": engine.handle(push),
+        "status": engine.handle({"op": "status"}),
+        "one-site status": engine.handle({"op": "status", "site": "site001"}),
+        "digest": engine.handle({"op": "digest"}),
+        "refusal": engine.handle({"op": "deploy", "product": "viewer", "group": "all"}),
+        "domain error": engine.handle({"op": "deploy", "product": "ghost", "group": "all"}),
+        "internal": error("INTERNAL", "RuntimeError: boom"),
+    }
+
+
+class CountingSink:
+    """A write-only stream that checks each write against ``expected`` and
+    keeps no byte of it."""
+
+    def __init__(self, expected):
+        self.expected, self.pos, self.writes = memoryview(expected), 0, 0
+
+    def write(self, data):
+        n = len(memoryview(data))
+        assert self.expected[self.pos : self.pos + n] == data
+        self.pos, self.writes = self.pos + n, self.writes + 1
+        return n
+
+
+def count_encodes(monkeypatch):
+    """Count calls of the C encoder, whichever ``json`` entry point makes them."""
+    import json.encoder
+
+    calls = []
+    real = json.encoder.c_make_encoder
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    return calls
+
+
+def synthetic_push_answer(sites):
+    """A push answer shaped like a real one: each site's selection over 20
+    candidates, on ``sites`` sites."""
+    candidates = [
+        {"unit": f"editor-{k}.0", "admissible": bool(k % 2), "failed": [f'disk.free >= "{k}GB"', 'os = "linux"']}
+        for k in range(20)
+    ]
+    entries = [
+        {"site": f"site{i:04}", "outcome": "DEPLOYED", "unit": "editor-19.0", "record": f"r{i:08}",
+         "selection": {"candidates": candidates, "chosen": "editor-19.0"}}
+        for i in range(sites)
+    ]
+    return {"ok": True, "refusal": False, "report": {"entries": entries, "summary": {"DEPLOYED": sites}}}
+
+
+class TestSlicedAnswers:
+    MULTI_SLICE = ("dry-run push", "push", "status", "refusal")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dry-run push", "push", "status", "one-site status", "digest", "refusal", "domain error", "internal"],
+    )
+    def test_each_answer_is_the_bytes_of_json_dumps(self, sliced_answers, name):
+        resp = sliced_answers[name]
+        if name in self.MULTI_SLICE:
+            assert len(resp["report"]["entries"]) > 2 * svc.SLICE_ENTRIES
+        assert written(resp) == wire_bytes(resp)
+
+    def test_the_answers_cover_what_a_push_reports(self, sliced_answers):
+        assert sliced_answers["push"]["report"]["summary"] == {"DEPLOYED": 128, "SKIPPED": 22}
+        assert sliced_answers["refusal"]["refusal"] is True
+        assert sliced_answers["domain error"]["error"]["code"] == "UNKNOWN_PRODUCT"
+
+    @pytest.mark.parametrize("entries", [0, 1, svc.SLICE_ENTRIES - 1, svc.SLICE_ENTRIES, svc.SLICE_ENTRIES + 1])
+    def test_every_entry_count_around_one_slice(self, entries):
+        resp = synthetic_push_answer(entries)
+        resp["noop"] = False  # a key that sorts before "ok"
+        assert written(resp) == wire_bytes(resp)
+
+    @pytest.mark.parametrize("name", ["one-site status", "digest", "domain error", "internal"])
+    def test_an_answer_of_one_slice_is_one_encode_and_one_write(self, sliced_answers, name, monkeypatch):
+        self._assert_one_encode_and_one_write(sliced_answers[name], monkeypatch)
+
+    def test_a_report_of_exactly_one_slice_is_one_encode_and_one_write(self, monkeypatch):
+        self._assert_one_encode_and_one_write(synthetic_push_answer(svc.SLICE_ENTRIES), monkeypatch)
+
+    @staticmethod
+    def _assert_one_encode_and_one_write(resp, monkeypatch):
+        sink = CountingSink(wire_bytes(resp))
+        encodes = count_encodes(monkeypatch)
+        svc.write_answer(sink, resp)
+        assert (len(encodes), sink.writes, sink.pos) == (1, 1, len(sink.expected))
+
+    def test_a_sliced_answer_holds_under_a_quarter_of_its_line(self):
+        resp = synthetic_push_answer(1000)
+        expected = wire_bytes(resp)
+        sink = CountingSink(expected)
+        tracemalloc.start()
+        try:
+            svc.write_answer(sink, resp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.pos == len(expected)
+        assert peak < len(expected) / 4, (peak, len(expected))
+
+    def test_over_a_socket_each_line_is_exact_and_the_connection_keeps_serving(
+        self, sliced_store, tmp_path, monkeypatch
+    ):
+        server = svc.ServiceServer(sliced_store, str(tmp_path / "s.sock"))
+        handled = []
+        real_handle = server.engine.handle
+
+        def kept(req):
+            if req["op"] == "digest":
+                raise RuntimeError("boom")
+            handled.append(real_handle(req))
+            return handled[-1]
+
+        monkeypatch.setattr(server.engine, "handle", kept)
+        server.start_background()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(server.address)
+                f = sock.makefile("rwb")
+                push = {"op": "deploy", "product": "editor", "group": "all", "dry_run": True}
+                with pytest.raises(ValueError) as bad_line:
+                    json.loads("{not json")
+                for line, answer in (
+                    (json.dumps(push).encode(), None),
+                    (b"{not json", error("USAGE", f"bad request line: {bad_line.value}")),
+                    (json.dumps({"op": "digest"}).encode(), error("INTERNAL", "RuntimeError: boom")),
+                    (json.dumps({"op": "ping"}).encode(), {"ok": True, "pong": True}),
+                ):
+                    f.write(line + b"\n")
+                    f.flush()
+                    got = f.readline()
+                    if answer is None:
+                        answer = handled[0]
+                        assert len(answer["report"]["entries"]) == SLICED_SITES
+                    assert got == wire_bytes(answer)
+                f.close()
+        finally:
+            server.shutdown()
+
+
+def answer_once(path, answer):
+    """Listen on ``path``; answer one request line with the bytes ``answer``,
+    then close. Returns the listening thread."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(1)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                rfile.readline()
+                conn.sendall(answer)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestClient:
+    def test_reads_a_long_answer_line(self, tmp_path):
+        resp = synthetic_push_answer(500)
+        thread = answer_once(str(tmp_path / "s.sock"), wire_bytes(resp))
+        assert svc.request(str(tmp_path / "s.sock"), {"op": "deploy"}) == resp
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("answer", [b"", b'{"ok": true, "pong"'], ids=["nothing", "torn"])
+    def test_a_connection_closed_mid_answer_is_an_os_error(self, tmp_path, answer):
+        thread = answer_once(str(tmp_path / "s.sock"), answer)
+        with pytest.raises(OSError, match="connection closed mid-answer"):
+            svc.request(str(tmp_path / "s.sock"), {"op": "ping"})
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_the_cli_exits_2_on_a_torn_answer(self, tmp_path, capsys):
+        from orya.cli import main
+
+        thread = answer_once(str(tmp_path / "s.sock"), b'{"ok": true, "digest": "ab')
+        assert main(["--remote", str(tmp_path / "s.sock"), "digest"]) == 2
+        assert "orya: connection closed mid-answer" in capsys.readouterr().err
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_shutdown_returns_without_waiting_out_the_default_poll(store, tmp_path):
+    server = svc.ServiceServer(store, str(tmp_path / "s.sock"))
+    server.start_background()
+    assert svc.request(server.address, {"op": "ping"}) == {"ok": True, "pong": True}
+    t0 = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - t0 < 0.25
+    assert not server._thread.is_alive()
