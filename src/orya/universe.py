@@ -19,9 +19,11 @@ each is read up to its cap (``MAX_DOCUMENT_BYTES`` for a store document or a
 file an operator gives, and ``MAX_INDEX_BYTES``, ``MAX_HEAD_BYTES`` and
 ``MAX_LOCK_BYTES``).
 
-A save moves the head's generation before its first change. A ``Store`` is
-one opened root; a commit through it is refused, with nothing written, when
-the head no longer holds the generation the store read.
+A save moves the head's generation before its first change. Every save is
+a commit over the universe it read: a ``Store`` is one opened root, and a
+commit through it is refused, with nothing written, when the head no longer
+holds the generation the store read. A new store is the one save with no
+``Store``, over the empty universe at generation 0.
 
 Cost model: a store call costs what changed, not the whole store.
 
@@ -43,9 +45,11 @@ Cost model: a store call costs what changed, not the whole store.
   site-filtered ``query_status`` and extended by each commit with the
   records it adds; so a warm ``status --site`` costs that site's records, not
   the store's. Any other status scans every record.
-- A save appends the index lines of its new records with one write, and
-  neither reads back nor makes a directory for a document new to its
-  ``Store``'s universe.
+- A save compares only the documents whose value is not its base's. Record
+  ids are given in order by ``record_deployment``, so its new records are the
+  ids past its base's count, found without a scan. It appends their index
+  lines with one write, and neither reads back nor makes a directory for a
+  document new to its base.
 - ``save_universe`` and ``open_universe`` say which documents they skip.
 """
 
@@ -66,6 +70,7 @@ from pathlib import Path
 from .errors import (
     DuplicateUnitError,
     ExpressionSyntaxError,
+    OryaError,
     ProcessTooLargeError,
     StoreChangedError,
     StoreCorruptError,
@@ -221,14 +226,13 @@ class Universe:
     catalog: dict[str, tuple[PackagedUnit, ...]] = field(default_factory=dict)
     site_states: dict[str, ClientSiteState] = field(default_factory=dict)
     deployments: dict[str, DeploymentRecord] = field(default_factory=dict)
-    root: Path | None = None
 
     def next_deployment_id(self) -> str:
         return f"d{len(self.deployments):06d}"
 
 
-def empty_universe(root: Path | None = None) -> Universe:
-    return Universe(enterprise=EnterpriseModel(id="enterprise"), root=root)
+def empty_universe() -> Universe:
+    return Universe(enterprise=EnterpriseModel(id="enterprise"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +245,21 @@ def _members(pairs) -> str:
     return ",".join([f"{encode_basestring_ascii(key)}:{text}" for key, text in pairs])
 
 
-# Ids d000000..d999999 sort as their numbers do, so records appended in id
-# order extend the hashed text, and each site's list of ids, at its end.
+# A universe's record ids are d000000.. with no gap (``record_deployment``
+# gives them, ``cross_validate`` checks them). Up to this count they sort as
+# their numbers do, so the records a commit appends extend the hashed text,
+# and each site's list of ids, at its end.
 _MAX_KEPT_RECORDS = 10**6
 
 
-def _appendable(ids: list[str]) -> bool:
-    """Whether the sorted ``ids`` all sort before d{n}, where n is their
-    count, so that the ids d{n}.. a commit appends sort after them."""
-    return not ids or ids[-1] < f"d{len(ids):06d}"
-
-
-def _appended(u: Universe, n: int) -> list[str] | None:
-    """The ids d{n}..d{m-1} of the records ``u`` holds past its first ``n``,
-    in id order, where ``m`` is its record count; None unless each is there
-    and ``m`` is at most ``_MAX_KEPT_RECORDS``, so that they sort after the
-    first ``n`` when those are appendable."""
-    m = len(u.deployments)
-    ids = [f"d{i:06d}" for i in range(n, m)]
-    if n <= m <= _MAX_KEPT_RECORDS and all(rid in u.deployments for rid in ids):
-        return ids
-    return None
+def _record_ids(start: int, stop: int) -> list[str]:
+    """The ids of the records numbered ``start`` to ``stop`` - 1."""
+    return [f"d{i:06d}" for i in range(start, stop)]
 
 
 def _hash_records(u: Universe):
     """The SHA-256 state of the digest text from its start to the end of the
-    records, and whether more records would extend that text at its end."""
+    records."""
     catalog = _members(
         (server, "[" + ",".join([unit.canonical_json for unit in units]) + "]")
         for server, units in sorted(u.catalog.items())
@@ -274,7 +267,7 @@ def _hash_records(u: Universe):
     ids = sorted(u.deployments)
     state = hashlib.sha256(f'{{"catalog":{{{catalog}}},"deployments":{{'.encode())
     state.update(_members(zip(ids, [u.deployments[rid].canonical_json for rid in ids])).encode())
-    return state, _appendable(ids)
+    return state
 
 
 def universe_digest(u: Universe, store: Store | None = None) -> str:
@@ -287,7 +280,7 @@ def universe_digest(u: Universe, store: Store | None = None) -> str:
     if store is not None and store.universe is u:
         hashed = store._hashed_records()
     else:
-        hashed, _ = _hash_records(u)
+        hashed = _hash_records(u)
     sites = _members(
         (site, state.canonical_json) for site, state in sorted(u.site_states.items())
     )
@@ -448,7 +441,8 @@ class Store:
     universe changes only by a commit, which keeps every record, or by a
     reopen; so the kept state is extended by the records commits add, and
     hashed in full again after a reopen or a catalog change, and each commit
-    appends its new records to their sites' ids, which a reopen drops.
+    appends its new records to their sites' ids, which a reopen drops. Past
+    ``_MAX_KEPT_RECORDS`` records a commit drops both.
     """
 
     def __init__(self, root: str | Path):
@@ -478,34 +472,27 @@ class Store:
         n = len(self.universe.deployments)
         self.generation = save_universe(u, self.root, store=self)
         self.universe, self._unlined = u, []
-        if self._sites is not None:
-            ids = _appended(u, n)
-            self._sites = None if ids is None else self._add_sites(self._sites, ids)
+        if len(u.deployments) > _MAX_KEPT_RECORDS:
+            self._kept = self._sites = None
+        elif self._sites is not None:
+            self._add_sites(self._sites, _record_ids(n, len(u.deployments)))
 
     def _hashed_records(self):
         """The SHA-256 state after the records of ``self.universe``."""
-        u = self.universe
-        if self._kept is not None and self._kept[0] is u.catalog:
-            catalog, hashed, state = self._kept
-            ids = _appended(u, hashed)
-            if ids is not None:
-                if ids:
-                    text = _members((rid, u.deployments[rid].canonical_json) for rid in ids)
-                    state.update(("," + text if hashed else text).encode())
-                    self._kept = (catalog, len(u.deployments), state)
-                return state
-        state, extendable = _hash_records(u)
-        self._kept = (u.catalog, len(u.deployments), state) if extendable else None
+        u, m = self.universe, len(self.universe.deployments)
+        if self._kept is None or self._kept[0] is not u.catalog:
+            self._kept = (u.catalog, m, _hash_records(u))
+        catalog, hashed, state = self._kept
+        if hashed < m:
+            text = _members((rid, u.deployments[rid].canonical_json) for rid in _record_ids(hashed, m))
+            state.update(("," + text if hashed else text).encode())
+            self._kept = (catalog, m, state)
         return state
 
-    def _site_ids(self, site: str) -> list[str] | None:
-        """The ids of ``site``'s records in ``self.universe``, in id order;
-        None when the records a commit appends would not sort after them."""
+    def _site_ids(self, site: str) -> list[str]:
+        """The ids of ``site``'s records in ``self.universe``, in id order."""
         if self._sites is None:
-            ids = sorted(self.universe.deployments)
-            if not _appendable(ids):
-                return None
-            self._sites = self._add_sites({}, ids)
+            self._sites = self._add_sites({}, sorted(self.universe.deployments))
         return self._sites.get(site, [])
 
     def _add_sites(self, sites: dict[str, list[str]], ids: list[str]) -> dict[str, list[str]]:
@@ -525,11 +512,8 @@ class Store:
 def init_universe(path: str | Path, enterprise: EnterpriseModel | None = None) -> Universe:
     """Write a store holding ``enterprise`` (an empty model when None) in one
     save, at generation 1; the path must be empty or absent."""
-    root = Path(path)
-    if root.exists() and any(root.iterdir()):
-        raise StoreCorruptError(str(root), "directory not empty")
-    u = empty_universe(root) if enterprise is None else Universe(enterprise, root=root)
-    save_universe(u)
+    u = empty_universe() if enterprise is None else Universe(enterprise)
+    save_universe(u, path)
     return u
 
 
@@ -724,40 +708,47 @@ def open_universe(path: str | Path) -> Universe:
             else:
                 deployments[rid] = _decode(data, document, record_from_json, *tables)
 
-    u = Universe(enterprise, catalog, site_states, deployments, root)
+    u = Universe(enterprise, catalog, site_states, deployments)
     cross_validate(u)
     return u
 
 
-def save_universe(u: Universe, path: str | Path | None = None, *, store: Store | None = None) -> int:
-    """Persist the universe under the single-writer lock; return the head's
-    generation after the save. The head moves on before the first document
-    the save writes or removes, so a writer killed mid-save still moves it.
-    Site states are committed before deployment records, and records before
-    their index lines, so a crash between writes leaves at worst a
-    record-less state change or records without lines. Existing deployment
-    records are never rewritten.
+def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) -> int:
+    """Write ``u`` over its base under the single-writer lock; return the
+    head's generation after the save. The base is the universe ``store``
+    read, at the generation it read; without a store it is the empty
+    universe at generation 0, and ``root`` must be empty or absent (else
+    StoreCorruptError, nothing written). A save whose head no longer holds
+    the base's generation is refused (StoreChangedError, nothing written).
 
-    Through a ``store`` the save is refused (StoreChangedError, nothing
-    written) unless the head holds the generation the store read; a document
-    whose frozen value ``is`` the one in the store's universe is not even
-    read, and a record or site state that universe lacks is new, so it is
-    written without a read-back. Without a store, a record whose file exists
-    is skipped. Any other document is written (by write-and-rename) only when
+    The head moves on before the first document the save writes or removes,
+    so a writer killed mid-save still moves it. Site states are committed
+    before deployment records, and records before their index lines, so a
+    crash between writes leaves at worst a record-less state change or
+    records without lines.
+
+    A document whose frozen value ``is`` the base's is not even read. A
+    record or site state the base lacks is new, so it is written without a
+    read-back; the new records are d{len(base)}..d{len(u)-1}, since
+    ``record_deployment`` gives only the next id, and older records are never
+    rewritten. Any other document is written (by write-and-rename) only when
     its bytes differ from the file on disk.
 
-    The index gains one line per new record and, through a store, one per
-    older record the store's open found uncertified whose file holds exactly
-    its canonical text. Lines are appended, by one write, and do not move the
-    head.
+    The index gains one line per new record and one per older record the
+    store's open found uncertified whose file holds exactly its canonical
+    text. Lines are appended, by one write, and do not move the head.
     """
-    root = Path(path) if path is not None else u.root
-    if root is None:
-        raise ValueError("universe has no root path")
-    root.mkdir(parents=True, exist_ok=True)
+    root = Path(root)
+    if store is None:
+        if root.exists() and any(root.iterdir()):
+            raise StoreCorruptError(str(root), "directory not empty")
+        root.mkdir(parents=True, exist_ok=True)
+        base, base_generation, unlined = empty_universe(), 0, []
+    else:
+        base, base_generation, unlined = store.universe, store.generation, store._unlined
     with store_lock(root):
         generation, moved = _read_generation(root), []
-        if store is not None and store.generation != generation:
+        if base_generation != generation:
             raise StoreChangedError(f"store moved to generation {generation} since it was read")
 
         def change() -> None:
@@ -765,28 +756,17 @@ def save_universe(u: Universe, path: str | Path | None = None, *, store: Store |
             if not moved:
                 moved.append(_write_head(root, generation + 1))
 
-        base = store.universe if store is not None else None
-        dep_dir = root / "deployments"
-        dep_dir.mkdir(exist_ok=True)
-        if base is None:
-            existing = set(os.listdir(dep_dir))
-            new_records = [rid for rid in u.deployments if f"{rid}.json" not in existing]
-            unlined = []
-        else:
-            new_records = [rid for rid in u.deployments if rid not in base.deployments]
-            unlined = [rid for rid in store._unlined if rid in u.deployments]
-
-        if base is None or u.enterprise is not base.enterprise:
+        if u.enterprise is not base.enterprise:
             _write_json(root / "enterprise.json", u.enterprise.canonical_json, change)
 
         catalog_dir = root / "catalog"
         for server, units in u.catalog.items():
-            if base is not None and base.catalog.get(server) is units:
+            if base.catalog.get(server) is units:
                 continue
             server_dir = catalog_dir / server
-            if not server_dir.is_dir():  # a server with no units is still read
+            if server not in base.catalog:  # a server with no units is still read
                 change()
-                server_dir.mkdir(parents=True)
+                server_dir.mkdir(parents=True, exist_ok=True)
             wanted = {f"{unit.id}.json" for unit in units}
             for stale in server_dir.glob("*.json"):
                 if stale.name not in wanted:
@@ -794,31 +774,32 @@ def save_universe(u: Universe, path: str | Path | None = None, *, store: Store |
                     stale.unlink()
             for unit in units:
                 _write_json(server_dir / f"{unit.id}.json", unit.canonical_json, change)
-        if catalog_dir.is_dir() and (base is None or u.catalog.keys() != base.catalog.keys()):
-            for server_dir in catalog_dir.iterdir():
-                if server_dir.is_dir() and server_dir.name not in u.catalog:
-                    change()
-                    for stale in server_dir.glob("*.json"):
-                        stale.unlink()
-                    server_dir.rmdir()
+        for server in sorted(base.catalog.keys() - u.catalog.keys()):
+            change()
+            server_dir = catalog_dir / server
+            for stale in server_dir.glob("*.json"):
+                stale.unlink()
+            server_dir.rmdir()
 
         sites_dir = root / "sites"
         for site, state in u.site_states.items():
-            old = None if base is None else base.site_states.get(site)
+            old = base.site_states.get(site)
             if old is state:
                 continue
-            new = base is not None and old is None
-            if base is None or new:
+            if old is None:
                 (sites_dir / site).mkdir(parents=True, exist_ok=True)
-            _write_json(sites_dir / site / "state.json", state.canonical_json, change, new)
+            _write_json(sites_dir / site / "state.json", state.canonical_json, change, old is None)
 
+        dep_dir = root / "deployments"
+        if not base.deployments:
+            dep_dir.mkdir(exist_ok=True)
         lines = []
-        for rid in new_records:  # append-only
+        for rid in _record_ids(len(base.deployments), len(u.deployments)):  # append-only
             record = u.deployments[rid]
-            _write_json(dep_dir / f"{rid}.json", record.canonical_json, change, base is not None)
+            _write_json(dep_dir / f"{rid}.json", record.canonical_json, change, True)
             lines.append(_index_line(rid, record, (record.canonical_json + "\n").encode()))
         for rid in unlined:
-            record = u.deployments[rid]
+            record = base.deployments[rid]
             data = (record.canonical_json + "\n").encode()
             try:
                 if _read_file(dep_dir / f"{rid}.json", rid) == data:
@@ -904,8 +885,12 @@ def remove_unit(u: Universe, server_id: str, unit_id: str) -> Universe:
 
 
 def record_deployment(u: Universe, record: DeploymentRecord) -> Universe:
+    """``u`` with ``record`` appended. Only ``u.next_deployment_id()`` is
+    accepted, so record ids run on with no gap."""
     if record.id in u.deployments:
         raise DuplicateUnitError(f"deployment record {record.id!r} already exists")
+    if record.id != (rid := u.next_deployment_id()):
+        raise OryaError(f"deployment record {record.id!r} is not the next id {rid!r}")
     deployments = dict(u.deployments)
     deployments[record.id] = record
     return replace(u, deployments=deployments)

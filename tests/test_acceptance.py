@@ -25,13 +25,14 @@ from orya.process import (
 )
 from orya.simharness import build_fleet, run_scenario
 from orya.universe import (
+    Store,
     cross_validate,
     empty_universe,
+    init_universe,
     open_universe,
     publish_unit,
     record_deployment,
     remove_unit,
-    save_universe,
     store_lock,
     universe_digest,
 )
@@ -216,8 +217,9 @@ def test_9_store_survives_random_operation_sequences(tmp_path, short_lock_wait):
         rng = random.Random(7009)
         root = tmp_path / "universe"
         sites = {f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(3)}
-        u = replace(empty_universe(root), enterprise=make_enterprise(sites))
-        save_universe(u)
+        init_universe(root, make_enterprise(sites))
+        store = Store(root)
+        u = store.universe
         counter = 0
         for _ in range(500):
             op = rng.choice(("publish", "remove", "deploy", "record"))
@@ -243,7 +245,7 @@ def test_9_store_survives_random_operation_sequences(tmp_path, short_lock_wait):
             elif op == "record":
                 site = rng.choice(sorted(sites))
                 u = record_deployment(u, make_record(u.next_deployment_id(), site=site))
-            save_universe(u)
+            store.commit(u)
             reloaded = open_universe(root)
             cross_validate(reloaded)
             assert universe_digest(reloaded) == universe_digest(u)
@@ -251,7 +253,7 @@ def test_9_store_survives_random_operation_sequences(tmp_path, short_lock_wait):
 
         with store_lock(root, "other-writer"):
             with pytest.raises(StoreLockedError) as exc:
-                save_universe(u)
+                store.commit(u)
             assert exc.value.holder == "other-writer"
 
     criterion(9, "store integrity under churn", 15, body)

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from orya import universe as universe_mod
 from orya.cli import _emit, main
 from orya.model import enterprise_to_json
 from orya.units import unit_to_json
-from orya.universe import HEAD_FILE, empty_universe, open_universe, save_universe
+from orya.universe import HEAD_FILE, init_universe, open_universe
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -339,7 +338,7 @@ def test_printers_leave_a_push_response_unchanged(tmp_path, capsys):
     a printer that wrote one in place would change every site's answer."""
     linux, win = {"os": "linux", "disk.free": "10GB"}, {"os": "win", "disk.free": "10GB"}
     sites = {"l1": (linux, ()), "l2": (linux, ()), "w1": (win, ()), "w2": (win, ())}
-    save_universe(replace(empty_universe(tmp_path / "u"), enterprise=make_enterprise(sites)))
+    init_universe(tmp_path / "u", make_enterprise(sites))
     engine = svc.LocalEngine(tmp_path / "u")
     for version, constraints in (("1.0", ['os = "linux"']), ("2.0", ['os = "linux"', "ram >= 1GB"])):
         unit = make_unit(f"ed-{version}", product="editor", version=version, constraints=constraints)

@@ -15,7 +15,7 @@ from orya.engine import STALE_RERUNS
 from orya import universe as universe_mod
 from orya.process import MAX_PROGRESS_POINTS, Activity, ActivityKind, ProcessDef, Seq
 from orya.units import unit_to_json
-from orya.universe import HEAD_FILE, empty_universe, open_universe, save_universe, universe_digest
+from orya.universe import HEAD_FILE, Store, init_universe, open_universe, universe_digest
 from orya.values import canonical_json
 from test_universe import count_writes, oracle_digest, stat_snapshot
 
@@ -29,7 +29,7 @@ def store(tmp_path):
             "site2": ({"os": "win", "disk.free": "10GB"}, ()),
         }
     )
-    save_universe(replace(empty_universe(root), enterprise=ent))
+    init_universe(root, ent)
     return root
 
 
@@ -313,9 +313,9 @@ class TestDeepDefaultVerify:
     def test_a_stored_unit_past_the_cap_opens_and_is_an_invalid_process(self, store, copies):
         from orya.units import unit_from_json
 
-        u = open_universe(store)
         unit = unit_from_json(many_linux(copies))
-        save_universe(replace(u, catalog={"srv1": (unit,)}))
+        stored = Store(store)
+        stored.commit(replace(stored.universe, catalog={"srv1": (unit,)}))
         engine = svc.LocalEngine(store)
         resp = engine.handle({"op": "deploy", "product": "editor", "group": "all"})
         entries = {e["site"]: (e["outcome"], e.get("reason")) for e in resp["report"]["entries"]}
@@ -389,9 +389,9 @@ class TestProcessSizeCap:
         from orya import process as process_mod
         from orya.units import unit_from_json
 
-        u = open_universe(store)
         unit = unit_from_json(sized_manifest(MAX_PROGRESS_POINTS + 1, default))
-        save_universe(replace(u, catalog={"srv1": (unit,)}))
+        stored = Store(store)
+        stored.commit(replace(stored.universe, catalog={"srv1": (unit,)}))
 
         def no_search(*args):
             raise AssertionError("searched a process over the cap")
@@ -794,7 +794,7 @@ def sliced_store(tmp_path_factory):
         for i in range(SLICED_SITES)
     }
     root = tmp_path_factory.mktemp("sliced") / "universe"
-    save_universe(replace(empty_universe(root), enterprise=make_enterprise(sites)))
+    init_universe(root, make_enterprise(sites))
     engine = svc.LocalEngine(root)
     viewer = unit_to_json(make_unit("viewer-1.0", product="viewer", constraints=('os = "mac"',)))
     for manifest in (editor_manifest(), editor_manifest("1.0", ('os = "win"',)), viewer):

@@ -23,7 +23,7 @@ from orya.simharness import (
 )
 from orya.service import LocalEngine
 from orya.units import unit_to_json
-from orya.universe import Store, empty_universe, publish_unit, save_universe
+from orya.universe import Store, empty_universe, init_universe, publish_unit
 from orya.values import Size
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -324,9 +324,7 @@ def fleet_store(root: Path) -> None:
         f"s{i}": ({"os": "linux", "ram": f"{2 + 2 * (i % 3)}GB", "disk.free": "100GB"}, ())
         for i in range(6)
     }
-    save_universe(
-        replace(empty_universe(root), enterprise=make_enterprise(sites, servers=("srv1", "srv2")))
-    )
+    init_universe(root, make_enterprise(sites, servers=("srv1", "srv2")))
     engine = LocalEngine(root)
     manifests = [
         ("srv1", make_unit("ed-1", product="ed", version="1.0", resources=[("bin", 5, "x")])),
@@ -469,7 +467,7 @@ def duplicate_id_store(root: Path, kinds) -> LocalEngine:
     machines += [Machine("x", kind, {"ram": Size.parse("2GB")}) for kind in kinds]
     machines.append(Machine("srv1", MachineKind.APP_SERVER))
     enterprise = replace(make_enterprise({}), machines=tuple(machines), groups=(), users=())
-    save_universe(replace(empty_universe(root), enterprise=enterprise))
+    init_universe(root, enterprise)
     return LocalEngine(root)
 
 

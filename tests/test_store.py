@@ -6,7 +6,8 @@ commit through a ``Store`` is refused when the head moved since the store
 was read. A writer waits briefly for a live holder's lock, and a lock whose
 holder died on this host is reclaimed at once. A record that
 one index line certifies is not decoded at open, and any damage to the index
-only sends records back to a full decode. Child processes are started by
+only sends records back to a full decode. A crash at each write point of a
+commit leaves a store that opens and commits. Child processes are started by
 ``spawn`` and are never more than four.
 """
 
@@ -16,6 +17,7 @@ import json
 import multiprocessing
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from orya.universe import (
     LOCK_FILE,
     Store,
     empty_universe,
+    init_universe,
     open_universe,
     publish_unit,
     record_deployment,
@@ -64,7 +67,7 @@ OPS = 20
 def small_store(root, sites=SITES):
     """``sites`` sites s0.., each running unit u-1 of product p."""
     ent = make_enterprise({f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(sites)})
-    save_universe(replace(empty_universe(root), enterprise=ent))
+    init_universe(root, ent)
     engine = LocalEngine(root)
     manifest = unit_to_json(make_unit("u-1", product="p"))
     assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
@@ -417,6 +420,89 @@ def test_a_writer_killed_mid_save_moves_the_head_and_the_store_recovers(tmp_path
     assert universe_digest(stale.universe) == universe_digest(on_disk) == oracle_digest(on_disk)
 
 
+class Crash(BaseException):
+    """A process killed at a write point; no handler in orya catches it."""
+
+
+WRITE_POINTS = ("_write_head", "_replace", "_append_index")
+
+
+def crash_at(monkeypatch, k):
+    """Make the ``k``-th call (from 0) of any of ``WRITE_POINTS`` raise
+    ``Crash`` before it writes; None never raises. Returns the names of the
+    calls made."""
+    calls = []
+    for name in WRITE_POINTS:
+        def point(*args, _name=name, _real=getattr(universe_mod, name)):
+            if len(calls) == k:
+                raise Crash(_name)
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(universe_mod, name, point)
+    return calls
+
+
+CRASH_OPS = {
+    "toggle": {"op": "deactivate", "site": "s0", "unit": "u-1"},
+    "push": {"op": "deploy", "product": "q", "group": "all"},
+}
+
+
+@pytest.mark.parametrize("op", sorted(CRASH_OPS))
+def test_a_crash_at_any_write_point_leaves_a_store_that_opens_and_commits(tmp_path, monkeypatch, op):
+    """Every crash point of one commit, in the manner of ALICE (Pillai et al.,
+    OSDI 2014, "All File Systems Are Not Created Equal"), run in process: on
+    a fresh copy of a three-site store for each k, the op raises at the k-th
+    head write, document write-and-rename or index append, and the copy is
+    then opened and written again.
+
+    This models a process crash only, where the writes before the raise land
+    in order and whole. A power loss can reorder writes, and nothing is
+    fsynced, so it is not covered. The raise unwinds ``store_lock`` and so
+    releases the lock, as the next writer's reclaim of a dead holder's lock
+    would."""
+    template = tmp_path / "template"
+    engine = small_store(template, sites=3)
+    manifest = unit_to_json(make_unit("u-2", product="q"))
+    assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
+    generation = head(template)
+    records = {p.name: p.read_bytes() for p in (template / "deployments").glob("*.json")}
+    req = CRASH_OPS[op]
+
+    whole = tmp_path / "whole"
+    shutil.copytree(template, whole)
+    with monkeypatch.context() as patch:
+        calls = crash_at(patch, None)
+        assert LocalEngine(whole).handle(req)["ok"]
+    after = open_universe(whole)
+    assert len(after.deployments) > len(records)
+
+    for k in range(len(calls)):
+        root = tmp_path / f"crash{k}"
+        shutil.copytree(template, root)
+        with monkeypatch.context() as patch:
+            crash_at(patch, k)
+            with pytest.raises(Crash):
+                LocalEngine(root).handle(req)
+        assert not (root / LOCK_FILE).exists()
+        assert head(root) == generation + (k > 0)  # moved before the first change
+
+        torn = open_universe(root)  # never CORRUPT
+        assert sorted(torn.deployments) == [f"d{i:06d}" for i in range(len(torn.deployments))]
+        assert {name: (root / "deployments" / name).read_bytes() for name in records} == records
+        for rid in torn.deployments.keys() - {name[: -len(".json")] for name in records}:
+            site = torn.deployments[rid].site_id
+            assert torn.deployments[rid].canonical_json == after.deployments[rid].canonical_json
+            # Its site's state was committed before it.
+            assert torn.site_states[site].canonical_json == after.site_states[site].canonical_json
+
+        resp = LocalEngine(root).handle({"op": "set_prop", "site": "s1", "name": "crash", "value": f"k{k}"})
+        assert resp["ok"], (k, resp)
+        machines = {m.id: m for m in open_universe(root).enterprise.machines}
+        assert machines["s1"].properties.get("crash") == f"k{k}"
+
+
 def test_concurrent_writers_lose_no_committed_op(tmp_path):
     root = tmp_path / "u"
     small_store(root)
@@ -545,8 +631,9 @@ class TestRecordIndex:
         rng = random.Random(9)
         root = tmp_path / "u"
         sites = {f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(3)}
-        u = replace(empty_universe(root), enterprise=make_enterprise(sites))
-        save_universe(u)
+        init_universe(root, make_enterprise(sites))
+        store = Store(root)
+        u = store.universe
         for step in range(80):
             op = rng.choice(("publish", "remove", "deploy", "record"))
             published = u.catalog.get("srv1", ())
@@ -560,7 +647,7 @@ class TestRecordIndex:
                 u, _ = orch.push_deploy(u, request, simharness.build_fleet(u))
             elif op == "record":
                 u = record_deployment(u, make_record(u.next_deployment_id(), site=rng.choice(sorted(sites))))
-            save_universe(u)
+            store.commit(u)
             u = open_universe(root)
         assert len(u.deployments) > 10
         assert_index_matches_records(root)
@@ -670,7 +757,7 @@ class TestRecordIndex:
         path.write_text(json.dumps(pretty.deployments[rid].to_json(), indent=2))
         engine.store.reopen()
         assert engine.handle({"op": "deactivate", "site": "s1", "unit": "u-1"})["ok"]
-        save_universe(open_universe(root))
+        Store(root).commit(open_universe(root))
         assert rid not in {line[0] for line in index_of(root)}
         assert len(index_of(root)) == len(engine.universe.deployments) - 1
         decodes = count_decodes(monkeypatch)
@@ -691,7 +778,7 @@ class TestRecordIndex:
     def test_a_document_new_to_the_store_is_not_read_back(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
         ent = make_enterprise({"s0": ({}, ()), "s1": ({}, ())})
-        save_universe(record_deployment(replace(empty_universe(root), enterprise=ent), make_record("d000000", site="s0")))
+        save_universe(record_deployment(replace(empty_universe(), enterprise=ent), make_record("d000000", site="s0")), root)
         store = Store(root)
         read, made = [], []
         read_bytes, mkdir = Path.read_bytes, Path.mkdir

@@ -17,6 +17,7 @@ from orya import universe as universe_mod
 from orya.cli import main
 from orya.errors import (
     DuplicateUnitError,
+    OryaError,
     StoreChangedError,
     StoreCorruptError,
     StoreLockedError,
@@ -63,9 +64,9 @@ from orya.universe import (
 from orya.values import Version
 
 
-def base_universe(root=None):
+def base_universe():
     ent = make_enterprise({"site1": ({"os": "linux"}, ())})
-    return replace(empty_universe(root), enterprise=ent)
+    return replace(empty_universe(), enterprise=ent)
 
 
 def make_record(rid="d000000", site="site1", unit="u-1", mode=DeployMode.PUSH):
@@ -84,7 +85,7 @@ def make_record(rid="d000000", site="site1", unit="u-1", mode=DeployMode.PUSH):
 
 class TestRoundTrip:
     def test_save_open_preserves_digest(self, tmp_path):
-        u = base_universe(tmp_path / "u")
+        u = base_universe()
         u = publish_unit(u, "srv1", make_unit("u-1", resources=[("r", 5, "d")]))
         u = set_site_state(
             u,
@@ -95,7 +96,7 @@ class TestRoundTrip:
             ),
         )
         u = record_deployment(u, make_record())
-        save_universe(u)
+        save_universe(u, tmp_path / "u")
         loaded = open_universe(tmp_path / "u")
         assert universe_digest(loaded) == universe_digest(u)
         assert [unit.id for unit in loaded.catalog["srv1"]] == ["u-1"]
@@ -105,28 +106,33 @@ class TestRoundTrip:
         (tmp_path / "junk").write_text("x")
         with pytest.raises(StoreCorruptError):
             init_universe(tmp_path)
+        # A save with no store is a store's first: it writes into no other.
+        with pytest.raises(StoreCorruptError) as exc:
+            save_universe(populated_universe(), tmp_path)
+        assert exc.value.code == "CORRUPT" and exc.value.reason == "directory not empty"
+        assert [p.name for p in tmp_path.iterdir()] == ["junk"]
 
     def test_init_then_open(self, tmp_path):
         init_universe(tmp_path / "u")
         assert open_universe(tmp_path / "u").catalog == {}
 
     def test_records_are_append_only_on_disk(self, tmp_path):
-        u = base_universe(tmp_path / "u")
+        u = base_universe()
         u = record_deployment(u, make_record())
-        save_universe(u)
+        save_universe(u, tmp_path / "u")
         rec_path = tmp_path / "u" / "deployments" / "d000000.json"
         doc = json.loads(rec_path.read_text())
         doc["marker"] = "untouched"
         rec_path.write_text(json.dumps(doc))
-        save_universe(u)  # must not rewrite the existing record
+        Store(tmp_path / "u").commit(u)  # must not rewrite the existing record
         assert json.loads(rec_path.read_text())["marker"] == "untouched"
 
     def test_unpublished_units_cleaned_from_disk(self, tmp_path):
-        u = base_universe(tmp_path / "u")
+        u = base_universe()
         u = publish_unit(u, "srv1", make_unit("u-1"))
-        save_universe(u)
+        save_universe(u, tmp_path / "u")
         u = remove_unit(u, "srv1", "u-1")
-        save_universe(u)
+        Store(tmp_path / "u").commit(u)
         assert open_universe(tmp_path / "u").catalog["srv1"] == ()
 
 
@@ -182,7 +188,7 @@ class TestCorruption:
     )
     def test_ill_shaped_document_is_corrupt(self, tmp_path, document, keys, value):
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         path = root / document
         path.write_text(json.dumps(replaced(json.loads(path.read_text()), keys, value)))
         with pytest.raises(StoreCorruptError) as exc:
@@ -192,7 +198,7 @@ class TestCorruption:
     def test_every_subtree_made_ill_shaped_opens_or_is_corrupt(self, tmp_path):
         """No other exception escapes the open, whichever node is replaced."""
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         outcomes = []
         for path in sorted(root.rglob("*.json")):
             intact = path.read_text()
@@ -223,9 +229,9 @@ class TestCorruption:
         assert exc.value.document == "enterprise.json"
 
     def test_bad_json_names_the_document(self, tmp_path):
-        u = base_universe(tmp_path / "u")
+        u = base_universe()
         u = publish_unit(u, "srv1", make_unit("u-1"))
-        save_universe(u)
+        save_universe(u, tmp_path / "u")
         (tmp_path / "u" / "catalog" / "srv1" / "u-1.json").write_text("{broken")
         with pytest.raises(StoreCorruptError) as exc:
             open_universe(tmp_path / "u")
@@ -251,7 +257,7 @@ class TestCorruption:
 
     def test_record_copied_over_another_is_rejected(self, tmp_path):
         root = tmp_path / "u"
-        save_universe(record_deployment(populated_universe(root), make_record("d000001")))
+        save_universe(record_deployment(populated_universe(), make_record("d000001")), root)
         dep_dir = root / "deployments"
         (dep_dir / "d000001.json").write_bytes((dep_dir / "d000000.json").read_bytes())
         with pytest.raises(StoreCorruptError) as exc:
@@ -261,10 +267,10 @@ class TestCorruption:
 
     def test_gap_in_record_ids_fails_open(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
+        u = populated_universe()
         for rid in ("d000001", "d000002"):
             u = record_deployment(u, make_record(rid))
-        save_universe(u)
+        save_universe(u, root)
         (root / "deployments" / "d000000.json").unlink()
         with pytest.raises(StoreCorruptError) as exc:
             open_universe(root)
@@ -285,17 +291,18 @@ class TestCorruption:
 class TestLocking:
     def test_second_writer_locked(self, tmp_path, short_lock_wait):
         root = tmp_path / "u"
-        u = base_universe(root)
-        save_universe(u)
+        u = base_universe()
+        save_universe(u, root)
+        store = Store(root)
         with store_lock(root, "writer-a"):
             with pytest.raises(StoreLockedError) as exc:
-                save_universe(u)
+                store.commit(u)
             assert exc.value.holder == "writer-a"
-        save_universe(u)  # released
+        store.commit(u)  # released
 
     def test_lock_file_removed_after_save(self, tmp_path):
         root = tmp_path / "u"
-        save_universe(base_universe(root))
+        save_universe(base_universe(), root)
         assert not (root / LOCK_FILE).exists()
 
 
@@ -389,8 +396,8 @@ def stat_snapshot(root):
     }
 
 
-def populated_universe(root):
-    u = base_universe(root)
+def populated_universe():
+    u = base_universe()
     u = publish_unit(u, "srv1", make_unit("u-1", resources=[("r", 5, "d")]))
     u = publish_unit(u, "srv1", make_unit("u-2", version="2.0"))
     u = set_site_state(
@@ -428,7 +435,9 @@ class TestDigest:
     def test_churned_store_digest_matches_oracle(self, tmp_path):
         rng = random.Random(3)
         sites = {f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(2)}
-        u = replace(empty_universe(tmp_path / "u"), enterprise=make_enterprise(sites))
+        init_universe(tmp_path / "u", make_enterprise(sites))
+        store = Store(tmp_path / "u")
+        u = store.universe
         for step in range(60):
             op = rng.choice(("publish", "remove", "deploy", "record"))
             published = u.catalog.get("srv1", ())
@@ -446,7 +455,7 @@ class TestDigest:
             elif op == "record":
                 record = make_record(u.next_deployment_id(), site=rng.choice(sorted(sites)))
                 u = record_deployment(u, replace(record, params=(("note", "na\u00efve \"q\""),)))
-            save_universe(u)
+            store.commit(u)
             reloaded = open_universe(tmp_path / "u")
             assert universe_digest(u) == oracle_digest(u)
             assert universe_digest(reloaded) == oracle_digest(reloaded) == oracle_digest(u)
@@ -458,7 +467,7 @@ def digest_store(root, seed, sites=3):
     """A store of ``sites`` sites s0.. with three published units, served by
     an engine."""
     sites = {f"s{i}": ({"os": "linux", "ram": "4GB", "disk.free": "100GB"}, ()) for i in range(sites)}
-    save_universe(replace(empty_universe(root), enterprise=make_enterprise(sites)))
+    init_universe(root, make_enterprise(sites))
     engine = LocalEngine(root)
     for n in range(3):
         unit = make_unit(f"{seed}-u{n}", product=f"p{n % 2}", resources=[("bin", 5, "x")])
@@ -581,10 +590,10 @@ class TestWarmDigest:
                 return self.state.hexdigest()
 
         monkeypatch.setattr(universe_mod, "hashlib", SimpleNamespace(sha256=CountingSha256))
-        u = populated_universe(tmp_path / "u")
+        u = populated_universe()
         for n in range(1, 40):
             u = record_deployment(u, make_record(f"d{n:06d}", unit=f"u-{n}"))
-        save_universe(u)
+        save_universe(u, tmp_path / "u")
         store = Store(tmp_path / "u")
         assert universe_digest(store.universe, store) == oracle_digest(u)
         hashed = sum(len(record.canonical_json) for record in u.deployments.values())
@@ -782,33 +791,27 @@ class TestWarmStatus:
         assert listed == []  # not the store's universe: a scan
         assert ids(u, "s0", store=store) == ids(u, "s0")
         assert listed == [sorted(u.deployments)]
-        # A commit whose ids leave a gap drops the lists, and later records
-        # could sort before the last: its site statuses scan.
-        store.commit(record_deployment(u, make_record(f"d{len(u.deployments) + 1:06d}", site="s0")))
-        assert store._sites is None
-        assert ids(store.universe, "s0", store=store) == ids(store.universe, "s0")
-        assert store._sites is None and len(listed) == 1
 
 
 class TestWriteRules:
     def test_noop_save_touches_no_document(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        u = populated_universe()
+        save_universe(u, root)
         before = stat_snapshot(root)
-        save_universe(u)
-        save_universe(open_universe(root))
+        Store(root).commit(u)
+        Store(root).commit(open_universe(root))
         assert stat_snapshot(root) == before
         assert len(before) == 5  # enterprise, two units, one state, one record
 
     def test_changed_state_and_unpublished_unit_are_written(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        u = populated_universe()
+        save_universe(u, root)
         before = stat_snapshot(root)
         u = remove_unit(u, "srv1", "u-2")
         u = set_site_state(u, ClientSiteState(machine_id="site1"))
-        save_universe(u)
+        Store(root).commit(u)
         after = stat_snapshot(root)
         assert "catalog/srv1/u-2.json" not in after
         assert after["sites/site1/state.json"] != before["sites/site1/state.json"]
@@ -816,27 +819,15 @@ class TestWriteRules:
             assert after[unchanged] == before[unchanged]
         assert universe_digest(open_universe(root)) == universe_digest(u)
 
-    def test_document_altered_on_disk_is_restored(self, tmp_path):
-        root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
-        documents = ("enterprise.json", "catalog/srv1/u-1.json", "sites/site1/state.json")
-        saved = {name: (root / name).read_bytes() for name in documents}
-        for name in documents:
-            (root / name).write_text("{}")
-        save_universe(u)
-        assert {name: (root / name).read_bytes() for name in documents} == saved
-        assert universe_digest(open_universe(root)) == universe_digest(u)
-
     def test_existing_record_never_rewritten(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
-        save_universe(u)
+        u = populated_universe()
+        save_universe(u, root)
         rec_path = root / "deployments" / "d000000.json"
         rec_path.write_text(rec_path.read_text() + " ")  # differs from what save would write
         before = stat_snapshot(root)["deployments/d000000.json"]
         u = record_deployment(u, make_record("d000001"))
-        save_universe(u)
+        Store(root).commit(u)
         after = stat_snapshot(root)
         assert after["deployments/d000000.json"] == before
         assert "deployments/d000001.json" in after
@@ -845,8 +836,8 @@ class TestWriteRules:
 class TestRecordMemo:
     def test_memo_cannot_hide_corruption(self, tmp_path):
         root = tmp_path / "u"
-        u = record_deployment(populated_universe(root), make_record("d000001"))
-        save_universe(u)
+        u = record_deployment(populated_universe(), make_record("d000001"))
+        save_universe(u, root)
         first = open_universe(root)  # held: nothing it read may stand in for a changed file
         dep_dir = root / "deployments"
 
@@ -893,7 +884,7 @@ class TestSaveOverBase:
 
     def test_noop_save_serialises_nothing(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         store = Store(root)
         before = stat_snapshot(root)
         head = (root / HEAD_FILE).read_bytes()
@@ -905,7 +896,7 @@ class TestSaveOverBase:
 
     def test_only_changed_values_are_serialised(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         store = Store(root)
         written = count_writes(monkeypatch)
         changed = set_site_state(store.universe, ClientSiteState(machine_id="site1"))
@@ -924,7 +915,7 @@ class TestSaveOverBase:
 
     def test_unpublished_server_is_swept(self, tmp_path):
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         store = Store(root)
         store.commit(replace(store.universe, catalog={}))
         assert not (root / "catalog" / "srv1").exists()
@@ -932,10 +923,11 @@ class TestSaveOverBase:
 
     def test_new_record_whose_file_exists_is_refused(self, tmp_path):
         root = tmp_path / "u"
-        save_universe(populated_universe(root))
+        save_universe(populated_universe(), root)
         store = Store(root)
         # Another writer appends d000001 first.
-        save_universe(record_deployment(open_universe(root), make_record("d000001")))
+        other = Store(root)
+        other.commit(record_deployment(other.universe, make_record("d000001")))
         before = stat_snapshot(root)
         head = (root / HEAD_FILE).read_bytes()
         stale = set_site_state(store.universe, ClientSiteState(machine_id="site1"))
@@ -950,6 +942,24 @@ class TestSaveOverBase:
         store.reopen()
         with pytest.raises(DuplicateUnitError):
             record_deployment(store.universe, make_record("d000001", unit="u-2"))
+
+
+    def test_a_record_past_the_next_id_is_refused(self, tmp_path):
+        root = tmp_path / "u"
+        save_universe(populated_universe(), root)
+        store = Store(root)
+
+        def files():
+            return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = files()
+        with pytest.raises(OryaError) as exc:
+            store.commit(record_deployment(store.universe, make_record("d000002")))
+        assert exc.value.message == "deployment record 'd000002' is not the next id 'd000001'"
+        assert files() == before  # the head and every document are as they were
+        assert sorted(open_universe(root).deployments) == ["d000000"]
+        store.commit(record_deployment(store.universe, make_record("d000001")))
+        assert sorted(open_universe(root).deployments) == ["d000000", "d000001"]
 
 
 def record_running(rid, process, claimed=None, unit="u-1"):
@@ -972,8 +982,8 @@ class TestSharedValuesAtOpen:
     def test_copies_equal_only_in_python_stay_distinct(self, tmp_path, other):
         root = tmp_path / "u"
         unit = f"u-{type(other).__name__}"  # bytes no other test's live record has
-        u = record_deployment(base_universe(root), record_running("d000000", verify_at(1), unit=unit))
-        save_universe(record_deployment(u, record_running("d000001", verify_at(other), unit=unit)))
+        u = record_deployment(base_universe(), record_running("d000000", verify_at(1), unit=unit))
+        save_universe(record_deployment(u, record_running("d000001", verify_at(other), unit=unit)), root)
         assert verify_at(1) == verify_at(other)  # what a dict key would match
         first, second = (r.process for r in open_universe(root).deployments.values())
         assert first is not second
@@ -981,7 +991,7 @@ class TestSharedValuesAtOpen:
 
         (root / "deployments" / "d000001.json").unlink()
         tampered = record_running("d000001", verify_at(other), claimed=verify_at(1), unit=unit)
-        save_universe(record_deployment(u, tampered))
+        Store(root).commit(record_deployment(u, tampered))
         with pytest.raises(StoreCorruptError) as exc:
             open_universe(root)
         assert exc.value.document == "deployments/d000001"
@@ -989,10 +999,10 @@ class TestSharedValuesAtOpen:
 
     def test_tampered_copy_in_the_500th_record_fails_open(self, tmp_path):
         root = tmp_path / "u"
-        u = base_universe(root)
+        u = base_universe()
         for n in range(500):
             u = record_deployment(u, make_record(f"d{n:06d}", unit="u-500"))
-        save_universe(u)
+        save_universe(u, root)
         path = root / "deployments" / "d000499.json"
         doc = json.loads(path.read_text())
         assert doc["trace"]["process_digest"] == u.deployments["d000000"].trace.process_digest
@@ -1008,13 +1018,13 @@ class TestSharedValuesAtOpen:
 
         root = tmp_path / "u"
         ent = make_enterprise({"site1": ({}, ()), "site2": ({}, ())})
-        u = replace(empty_universe(root), enterprise=ent)
+        u = replace(empty_universe(), enterprise=ent)
         unit = DeployedUnit("u-1", "prod", Version.parse("1.0"), "ACTIVE", constraints=("exists(os)",))
         for site in ("site1", "site2"):
             u = set_site_state(u, ClientSiteState(site, (unit,), ("prod",)))
         for n in range(4):
             u = record_deployment(u, make_record(f"d{n:06d}", site=f"site{n % 2 + 1}", unit="u-shared"))
-        save_universe(u)
+        save_universe(u, root)
 
         digests = []
         digest = process_mod.process_digest
@@ -1031,10 +1041,10 @@ class TestSharedValuesAtOpen:
     @pytest.mark.parametrize("typed", ["d000000", "d000001"])
     def test_events_that_differ_only_by_json_type_stay_distinct(self, tmp_path, typed):
         root = tmp_path / "u"
-        u = base_universe(root)
+        u = base_universe()
         for rid in ("d000000", "d000001"):
             u = record_deployment(u, make_record(rid, unit="u-typed"))
-        save_universe(u)
+        save_universe(u, root)
         path = root / "deployments" / f"{typed}.json"
         doc = json.loads(path.read_text())
         assert doc["trace"]["events"][0]["start"] == 1
@@ -1052,10 +1062,10 @@ class TestSharedValuesAtOpen:
 
     def test_opening_twice_gives_equal_universes(self, tmp_path):
         root = tmp_path / "u"
-        u = populated_universe(root)
+        u = populated_universe()
         for n in range(1, 4):
             u = record_deployment(u, make_record(f"d{n:06d}", unit="u-twice"))
-        save_universe(u)
+        save_universe(u, root)
         first = open_universe(root)
         second = open_universe(root)  # its records come from their index lines
         assert first == second == u
