@@ -128,7 +128,13 @@ class Engine:
         )
         u, report = orch.push_deploy(self.universe, request, fleet)
         if not request.dry_run:
-            self._commit(u, fleet)
+            from .simharness import sync_properties
+
+            # The sites' machines are folded into u; the fleet is let go
+            # before the save, which then needs no room beside it.
+            u = sync_properties(u, fleet)
+            del fleet
+            self._commit(u)
         return _report_response(report)
 
     def op_pull(self, req):

@@ -21,7 +21,7 @@ engine's error code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import OryaError, StepFailure, UnknownUnitError
@@ -123,7 +123,8 @@ class SimulatedSite:
 
     ``machine`` is the frozen ``Machine`` value ``build_fleet`` hands over; a
     property change swaps in a new value, never edits the one it shares with
-    the committed universe."""
+    the committed universe. Role calls are appended to ``call_log`` unless it
+    is None."""
 
     def __init__(self, machine: Machine, clock, call_log, state=None):
         self.machine = machine
@@ -356,9 +357,8 @@ class SimulatedSite:
             self.machine = replace(self.machine, properties={**self.properties, DISK_FREE: left})
 
     def _log(self, method, detail):
-        self.call_log.append(
-            CallLogEntry(self.clock.tick, "site", self.machine_id, method, detail)
-        )
+        if self.call_log is not None:
+            self.call_log.append(CallLogEntry(self.clock.tick, "site", self.machine_id, method, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +382,8 @@ class SimulatedAppServer:
         raise UnknownUnitError(f"resource {resource_name!r} not in unit {unit.id!r}")
 
     def _log(self, method, detail):
-        self.call_log.append(
-            CallLogEntry(self.clock.tick, "server", self.server_id, method, detail)
-        )
+        if self.call_log is not None:
+            self.call_log.append(CallLogEntry(self.clock.tick, "server", self.server_id, method, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +395,20 @@ class Fleet:
     sites: dict[str, SimulatedSite]
     servers: dict[str, SimulatedAppServer]
     clock: VirtualClock
-    call_log: list[CallLogEntry] = field(default_factory=list)
+    call_log: list[CallLogEntry] | None = None
 
 
-def build_fleet(u: Universe, site_ids=None) -> Fleet:
+def build_fleet(u: Universe, site_ids=None, call_log: list[CallLogEntry] | None = None) -> Fleet:
     """Spin up a role handle for every app server and for each client site
     that ``site_ids`` names, every client site when it is None. An id names
     the last machine with that id, as ``cross_validate`` reads it, so an id
     whose last machine is no client site gets no site handle. A single-site
-    op builds its one site; a push and a scenario build every site."""
+    op builds its one site; a push and a scenario build every site.
+
+    Every role call is appended to ``call_log`` when one is given. Only tests
+    of the roles pass one: the engines (``LocalEngine``, ``ScenarioEngine``)
+    pass none, so their fleets keep no log."""
     clock = VirtualClock()
-    call_log: list[CallLogEntry] = []
     machines, positions = u.enterprise.machines, u.enterprise.positions
     servers = {mid: SimulatedAppServer(mid, clock, call_log) for mid in u.enterprise.app_servers}
     sites: dict[str, SimulatedSite] = {}

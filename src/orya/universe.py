@@ -29,14 +29,19 @@ Cost model: a store call costs what changed, not the whole store.
 
 - Each frozen document value (enterprise, packaged unit, site state, record,
   and each group and machine of the enterprise) computes its canonical JSON
-  once. ``save_universe`` writes that text and ``universe_digest`` joins the
+  once. ``save_universe`` writes that text and ``universe_digest`` hashes the
   same texts, so neither re-serialises a value, and a changed machine costs
-  one machine's text.
+  one machine's text. Both go in slices (``_SLICE``), so neither builds
+  the records' texts joined or a second copy of a document's text.
 - ``open_universe`` reads and hashes every record file but decodes only the
   records the index does not certify; a certified record keeps its file text
   as its canonical JSON and decodes the rest of its body on first access. So a
   cold ``status`` or ``digest`` decodes no record, and only a process that
   reads a record's process or trace pays for that record.
+- A ``Store`` holds the records its commits add in the same form: once saved
+  and lined, a record keeps its line's fields and its text, and its process
+  copy, trace and times are dropped until read. So a long-lived service
+  holds what a fresh open would, plus one op's working set.
 - A ``Store`` keeps the SHA-256 state after its records, and
   ``universe_digest`` of its universe feeds only the records its commits
   added since, then the enterprise and sites: its cost no longer grows with
@@ -45,11 +50,11 @@ Cost model: a store call costs what changed, not the whole store.
   site-filtered ``query_status`` and extended by each commit with the
   records it adds; so a warm ``status --site`` costs that site's records, not
   the store's. Any other status scans every record.
-- A save compares only the documents whose value is not its base's. Record
-  ids are given in order by ``record_deployment``, so its new records are the
-  ids past its base's count, found without a scan. It appends their index
-  lines with one write, and neither reads back nor makes a directory for a
-  document new to its base.
+- A save compares only the documents whose value is not its base's, and
+  compares them with the base's text, not the file; it lists no directory,
+  and reads back only the records its store's open found unlined. Record ids are given in order by
+  ``record_deployment``, so its new records are the ids past its base's
+  count, found without a scan. It appends their index lines with one write.
 - ``save_universe`` and ``open_universe`` say which documents they skip.
 """
 
@@ -64,6 +69,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -239,10 +245,30 @@ def empty_universe() -> Universe:
 # Canonical serialization and digests
 
 
-def _members(pairs) -> str:
-    """The members of a canonical JSON object, from (key, value text) pairs
-    already in key order. A key is quoted as ``json.dumps`` quotes a str."""
-    return ",".join([f"{encode_basestring_ascii(key)}:{text}" for key, text in pairs])
+# The digest feeds SHA-256, and a save writes a document, ``_SLICE``
+# characters of a text or ``_SLICE_MEMBERS`` members of an object at a time,
+# so no string the size of the store or of a large document is built. A slice
+# of text stays under glibc's default mmap threshold (128 KiB), so its buffers
+# come from the heap and are not mapped and faulted in afresh on every op.
+_SLICE = 64 * 1024
+_SLICE_MEMBERS = 64
+
+
+def _slices(text: str):
+    """The bytes of ``text``, ``_SLICE`` characters at a time."""
+    return (text[start : start + _SLICE].encode() for start in range(0, len(text), _SLICE))
+
+
+def _hash_members(state, pairs, sep: str = "") -> None:
+    """Feed ``state`` the members of a canonical JSON object, from (key,
+    value text) pairs already in key order, after ``sep``,
+    ``_SLICE_MEMBERS`` at a time. A key is quoted as ``json.dumps`` quotes a
+    str."""
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, _SLICE_MEMBERS)):
+        members = ",".join([f"{encode_basestring_ascii(key)}:{text}" for key, text in batch])
+        state.update((sep + members).encode())
+        sep = ","
 
 
 # A universe's record ids are d000000.. with no gap (``record_deployment``
@@ -260,19 +286,19 @@ def _record_ids(start: int, stop: int) -> list[str]:
 def _hash_records(u: Universe):
     """The SHA-256 state of the digest text from its start to the end of the
     records."""
-    catalog = _members(
+    state = hashlib.sha256(b'{"catalog":{')
+    _hash_members(state, (
         (server, "[" + ",".join([unit.canonical_json for unit in units]) + "]")
         for server, units in sorted(u.catalog.items())
-    )
-    ids = sorted(u.deployments)
-    state = hashlib.sha256(f'{{"catalog":{{{catalog}}},"deployments":{{'.encode())
-    state.update(_members(zip(ids, [u.deployments[rid].canonical_json for rid in ids])).encode())
+    ))
+    state.update(b'},"deployments":{')
+    _hash_members(state, ((rid, u.deployments[rid].canonical_json) for rid in sorted(u.deployments)))
     return state
 
 
 def universe_digest(u: Universe, store: Store | None = None) -> str:
-    """SHA-256 of the canonical JSON of the whole universe, joined from each
-    document's cached canonical JSON (the text its store file holds) in
+    """SHA-256 of the canonical JSON of the whole universe, fed in slices of
+    each document's cached canonical JSON (the text its store file holds) in
     ``sort_keys`` order. The records come after the catalog and before the
     enterprise and sites, so for the universe of ``store`` the state the
     store keeps after its records is extended (see ``Store``); any other
@@ -281,11 +307,13 @@ def universe_digest(u: Universe, store: Store | None = None) -> str:
         hashed = store._hashed_records()
     else:
         hashed = _hash_records(u)
-    sites = _members(
-        (site, state.canonical_json) for site, state in sorted(u.site_states.items())
-    )
     digest = hashed.copy()
-    digest.update(f'}},"enterprise":{u.enterprise.canonical_json},"sites":{{{sites}}}}}'.encode())
+    digest.update(b'},"enterprise":')
+    for piece in _slices(u.enterprise.canonical_json):
+        digest.update(piece)
+    digest.update(b',"sites":{')
+    _hash_members(digest, ((site, state.canonical_json) for site, state in sorted(u.site_states.items())))
+    digest.update(b"}}")
     return digest.hexdigest()
 
 
@@ -421,14 +449,14 @@ def _write_head(root: Path, generation: int) -> None:
     """Rewrite the head in place by one write of a fixed width, so a killed
     writer leaves the old or the new generation, and no rename makes the file
     system flush. A store's first head is renamed into place."""
-    data = b"%020d\n" % generation
+    text = "%020d" % generation
     try:
         fd = os.open(root / HEAD_FILE, os.O_WRONLY)
     except FileNotFoundError:
-        _replace(root / HEAD_FILE, data)
+        _replace(root / HEAD_FILE, text)
         return
     try:
-        os.pwrite(fd, data, 0)
+        os.pwrite(fd, f"{text}\n".encode(), 0)
     finally:
         os.close(fd)
 
@@ -468,10 +496,23 @@ class Store:
     def commit(self, u: Universe) -> None:
         """Save ``u``, built from ``self.universe``, as the store's universe.
         StoreChangedError, with nothing written, when another writer has
-        committed since the store was read."""
+        committed since the store was read.
+
+        Each new record the save gave an index line is then held as an open
+        holds it (``_unread_record``), so its decoded body is let go. Its
+        entry is replaced in ``u.deployments`` itself, as a new dict would cost
+        every record: the dict is ``u``'s own (``record_deployment`` copies the
+        base's), and the new entry has the old one's value, so no holder of
+        ``u`` or of the old record sees a change."""
         n = len(self.universe.deployments)
         self.generation = save_universe(u, self.root, store=self)
         self.universe, self._unlined = u, []
+        tables = ({}, {})
+        for rid in _record_ids(n, len(u.deployments)):
+            record = u.deployments[rid]
+            fields = _line_fields(rid, record)
+            if fields is not None:
+                u.deployments[rid] = _unread_record(rid, fields, record.canonical_json, tables)
         if len(u.deployments) > _MAX_KEPT_RECORDS:
             self._kept = self._sites = None
         elif self._sites is not None:
@@ -484,8 +525,8 @@ class Store:
             self._kept = (u.catalog, m, _hash_records(u))
         catalog, hashed, state = self._kept
         if hashed < m:
-            text = _members((rid, u.deployments[rid].canonical_json) for rid in _record_ids(hashed, m))
-            state.update(("," + text if hashed else text).encode())
+            new = ((rid, u.deployments[rid].canonical_json) for rid in _record_ids(hashed, m))
+            _hash_members(state, new, "," if hashed else "")
             self._kept = (catalog, m, state)
         return state
 
@@ -599,15 +640,22 @@ def _json_or_none(data: bytes):
         return None
 
 
+def _line_fields(rid: str, record: DeploymentRecord) -> tuple | None:
+    """The fields of the index line of ``record`` stored under ``rid``: its
+    site, product, unit, outcome and mode; None when its decode would fail
+    ``cross_validate``, so no line may stand in for it."""
+    if record.id != rid or not record.process_matches_trace:
+        return None
+    return (record.site_id, record.product_id, record.unit_id, record.outcome, record.mode.value)
+
+
 def _index_line(rid: str, record: DeploymentRecord, data: bytes) -> str:
     """The index line of ``record`` stored as ``data`` under ``rid``; empty
-    when its decode would fail ``cross_validate``, so no line may stand in
-    for it."""
-    if record.id != rid or not record.process_matches_trace:
+    when it gets none (see ``_line_fields``)."""
+    fields = _line_fields(rid, record)
+    if fields is None:
         return ""
-    fields = [rid, hashlib.sha256(data).hexdigest(), record.site_id, record.product_id,
-              record.unit_id, record.outcome, record.mode.value]
-    return canonical_json(fields) + "\n"
+    return canonical_json([rid, hashlib.sha256(data).hexdigest(), *fields]) + "\n"
 
 
 def _append_index(dep_dir: Path, text: str) -> None:
@@ -672,10 +720,14 @@ def open_universe(path: str | Path) -> Universe:
         for server_dir in sorted(catalog_dir.iterdir()):
             if not server_dir.is_dir():
                 continue
-            catalog[server_dir.name] = tuple(
-                read_document(path, f"catalog/{server_dir.name}/{path.name}", unit_from_json)
-                for path in sorted(server_dir.glob("*.json"))
-            )
+            units = []
+            for path in sorted(server_dir.glob("*.json")):
+                document = f"catalog/{server_dir.name}/{path.name}"
+                units.append(read_document(path, document, unit_from_json))
+                # A save names a unit's file by its id, and unlinks it by that name.
+                if units[-1].id != path.stem:
+                    raise StoreCorruptError(document, "unit id does not match file name")
+            catalog[server_dir.name] = tuple(units)
 
     # Tables of this open: each distinct deployed unit, process copy and
     # trace event is built once and shared by every document that holds it.
@@ -727,12 +779,16 @@ def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) 
     crash between writes leaves at worst a record-less state change or
     records without lines.
 
-    A document whose frozen value ``is`` the base's is not even read. A
-    record or site state the base lacks is new, so it is written without a
-    read-back; the new records are d{len(base)}..d{len(u)-1}, since
-    ``record_deployment`` gives only the next id, and older records are never
-    rewritten. Any other document is written (by write-and-rename) only when
-    its bytes differ from the file on disk.
+    No document is read back. One whose frozen value ``is`` the base's is
+    skipped, and a record, site state or unit the base lacks is written; the
+    new records are d{len(base)}..d{len(u)-1}, since ``record_deployment``
+    gives only the next id, and older records are never rewritten. Any other
+    document is written (by write-and-rename) only when its canonical text
+    differs from the base's: the head's generation says that no writer has
+    changed the store since the base was read, so its file holds that text,
+    or the same value as an older version laid it out. A unit the base holds
+    and ``u`` does not is unlinked by its name, so no server directory is
+    listed.
 
     The index gains one line per new record and one per older record the
     store's open found uncertified whose file holds exactly its canonical
@@ -757,28 +813,31 @@ def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) 
                 moved.append(_write_head(root, generation + 1))
 
         if u.enterprise is not base.enterprise:
-            _write_json(root / "enterprise.json", u.enterprise.canonical_json, change)
+            old = None if store is None else base.enterprise.canonical_json
+            _write_json(root / "enterprise.json", u.enterprise.canonical_json, change, old)
 
         catalog_dir = root / "catalog"
         for server, units in u.catalog.items():
-            if base.catalog.get(server) is units:
+            old_units = base.catalog.get(server)
+            if old_units is units:
                 continue
             server_dir = catalog_dir / server
-            if server not in base.catalog:  # a server with no units is still read
+            if old_units is None:  # a server with no units is still read
                 change()
                 server_dir.mkdir(parents=True, exist_ok=True)
-            wanted = {f"{unit.id}.json" for unit in units}
-            for stale in server_dir.glob("*.json"):
-                if stale.name not in wanted:
-                    change()
-                    stale.unlink()
+            old = {unit.id: unit for unit in old_units or ()}
+            for stale in sorted(old.keys() - {unit.id for unit in units}):
+                change()
+                (server_dir / f"{stale}.json").unlink(missing_ok=True)
             for unit in units:
-                _write_json(server_dir / f"{unit.id}.json", unit.canonical_json, change)
+                if (old_unit := old.get(unit.id)) is not unit:
+                    old_text = None if old_unit is None else old_unit.canonical_json
+                    _write_json(server_dir / f"{unit.id}.json", unit.canonical_json, change, old_text)
         for server in sorted(base.catalog.keys() - u.catalog.keys()):
             change()
             server_dir = catalog_dir / server
-            for stale in server_dir.glob("*.json"):
-                stale.unlink()
+            for unit in base.catalog[server]:
+                (server_dir / f"{unit.id}.json").unlink(missing_ok=True)
             server_dir.rmdir()
 
         sites_dir = root / "sites"
@@ -787,8 +846,10 @@ def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) 
             if old is state:
                 continue
             if old is None:
+                change()
                 (sites_dir / site).mkdir(parents=True, exist_ok=True)
-            _write_json(sites_dir / site / "state.json", state.canonical_json, change, old is None)
+            old_text = None if old is None else old.canonical_json
+            _write_json(sites_dir / site / "state.json", state.canonical_json, change, old_text)
 
         dep_dir = root / "deployments"
         if not base.deployments:
@@ -796,7 +857,7 @@ def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) 
         lines = []
         for rid in _record_ids(len(base.deployments), len(u.deployments)):  # append-only
             record = u.deployments[rid]
-            _write_json(dep_dir / f"{rid}.json", record.canonical_json, change, True)
+            _write_json(dep_dir / f"{rid}.json", record.canonical_json, change)
             lines.append(_index_line(rid, record, (record.canonical_json + "\n").encode()))
         for rid in unlined:
             record = base.deployments[rid]
@@ -811,24 +872,23 @@ def save_universe(u: Universe, root: str | Path, *, store: Store | None = None) 
     return generation + len(moved)
 
 
-def _write_json(path: Path, text: str, change, new: bool = False) -> None:
-    """Write a document's canonical ``text`` and a newline, unless the file
-    already holds exactly these bytes; ``change()`` is called first. A
-    ``new`` document is known to be absent, so it is not read first."""
-    data = (text + "\n").encode()
-    if not new:
-        try:
-            if path.read_bytes() == data:
-                return
-        except OSError:
-            pass  # missing or unreadable: write it
-    change()
-    _replace(path, data)
+def _write_json(path: Path, text: str, change, old: str | None = None) -> None:
+    """Write a document's canonical ``text`` and a newline, unless ``old``,
+    its text in the base (None for a new document), is the same;
+    ``change()`` is called first."""
+    if text != old:
+        change()
+        _replace(path, text)
 
 
-def _replace(path: Path, data: bytes) -> None:
+def _replace(path: Path, text: str) -> None:
+    """Write ``text`` and a newline to a temporary file, in slices of
+    ``_SLICE`` characters so that no copy of a large document is built, and
+    rename it over ``path``."""
     tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as f:
+        f.writelines(_slices(text))
+        f.write(b"\n")
     tmp.replace(path)
 
 

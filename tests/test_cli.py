@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -352,3 +353,45 @@ def test_printers_leave_a_push_response_unchanged(tmp_path, capsys):
         _emit(resp, fmt)
     capsys.readouterr()
     assert json.dumps(resp, sort_keys=True) == before
+
+
+def push_answer(root, sites):
+    """The answer of a dry-run push to ``sites`` sites, each entry with its
+    selection report."""
+    init_universe(root, make_enterprise({f"s{i}": ({"os": "linux", "disk.free": "10GB"}, ()) for i in range(sites)}))
+    engine = svc.LocalEngine(root)
+    for version, constraints in (("1.0", ['os = "linux"']), ("2.0", ['os = "linux"', "ram >= 1GB"])):
+        unit = make_unit(f"ed-{version}", product="editor", version=version, constraints=constraints)
+        assert engine.handle({"op": "publish", "server": "srv1", "manifest": unit_to_json(unit)})["ok"]
+    return engine.handle({"op": "deploy", "product": "editor", "group": "all", "dry_run": True})
+
+
+class TestJsonOutput:
+    def test_the_bytes_are_those_of_json_dumps(self, tmp_path, capsys):
+        resp = push_answer(tmp_path / "u", 4)
+        assert len(resp["report"]["entries"]) == 4
+        assert _emit(resp, "json") == 0
+        assert capsys.readouterr().out == json.dumps(resp, sort_keys=True, indent=2) + "\n"
+
+    def test_the_answer_is_written_as_it_is_encoded(self, tmp_path, monkeypatch):
+        """No copy of the whole text is held: the peak is a small share of it
+        (``json.dumps`` with ``indent`` holds every chunk, over five times
+        the text)."""
+        resp = push_answer(tmp_path / "u", 300)
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            _emit(resp, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(json.dumps(resp, sort_keys=True, indent=2)) + 1
+        assert peak < sink.size / 4, (peak, sink.size)

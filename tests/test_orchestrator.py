@@ -198,7 +198,7 @@ class TestUnitWorkOncePerPush:
 
     def test_standing_trees_live_with_the_site_machine(self, monkeypatch):
         u, n_sites = mixed_fleet()
-        fleet = build_fleet(u)
+        fleet = build_fleet(u, call_log=[])
         sites = tuple(sorted(fleet.sites))
         deploy(u, fleet, sites=sites, dry_run=True)
         parsed = counting(monkeypatch, expr_mod, "parse_expression")
@@ -301,7 +301,7 @@ class TestOneEvaluationPerInput:
 class TestBrokerIsolation:
     def test_sites_never_talk_to_servers(self):
         u = make_universe({"s1": (LINUX, ())}, [("srv1", linux_unit())])
-        fleet = build_fleet(u)
+        fleet = build_fleet(u, call_log=[])
         deploy(u, fleet)
         site_methods = {e.method for e in fleet.call_log if e.role == "site"}
         server_methods = {e.method for e in fleet.call_log if e.role == "server"}
@@ -313,7 +313,7 @@ class TestBrokerIsolation:
             {"s1": (LINUX, ())},
             [("srv1", linux_unit(resources=[("a", 1, "x"), ("b", 1, "y")]))],
         )
-        fleet = build_fleet(u)
+        fleet = build_fleet(u, call_log=[])
         deploy(u, fleet)
         log = fleet.call_log
         for i, entry in enumerate(log):

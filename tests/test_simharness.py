@@ -8,11 +8,13 @@ import pytest
 
 from conftest import make_enterprise, make_unit
 from orya import orchestrator as orch
+from orya import simharness
 from orya.cli import main
 from orya.errors import OryaError, StepFailure
 from orya.model import Machine, MachineKind, lookup_machine
 from orya.process import Activity, ActivityKind, ExecutionContext, LifecycleState
 from orya.simharness import (
+    CallLogEntry,
     Fault,
     SimulatedSite,
     VirtualClock,
@@ -352,6 +354,61 @@ def count_sites_built(monkeypatch) -> list:
 
     monkeypatch.setattr(SimulatedSite, "__init__", counted)
     return built
+
+
+def count_log_entries(monkeypatch) -> list:
+    """Record the fields of every ``CallLogEntry`` built."""
+    made = []
+
+    class Counted(CallLogEntry):
+        def __init__(self, *fields):
+            made.append(fields)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(simharness, "CallLogEntry", Counted)
+    return made
+
+
+class TestRoleCallLog:
+    """A fleet logs role calls only into a list its caller hands it; the
+    engines hand none."""
+
+    def test_engine_ops_build_no_log_entry(self, tmp_path, monkeypatch):
+        made = count_log_entries(monkeypatch)
+        fleet_store(tmp_path / "u")  # publishes and pushes, through LocalEngine
+        engine = LocalEngine(tmp_path / "u")
+        for req in (
+            {"op": "deactivate", "site": "s1", "unit": "ed-1"},
+            {"op": "activate", "site": "s1", "unit": "ed-1"},
+            {"op": "pull", "site": "s2", "product": "ed"},
+            {"op": "set_prop", "site": "s3", "name": "ram", "value": "2GB", "apply": True},
+            {"op": "undeploy", "site": "s0", "unit": "app-1"},
+            {"op": "deploy", "product": "ed", "group": "all"},
+            {"op": "deploy", "product": "ed", "group": "all", "dry_run": True},
+        ):
+            assert engine.handle(req)["ok"], req
+        for path in sorted(SCENARIO_DIR.glob("*.json")):  # through ScenarioEngine
+            run_scenario(path)
+        assert made == []
+
+    def test_a_fleet_given_a_list_logs_every_role_call(self, monkeypatch):
+        made = count_log_entries(monkeypatch)
+        u = replace(empty_universe(), enterprise=make_enterprise({"s1": ({"os": "linux", "disk.free": "1GB"}, ())}))
+        u = publish_unit(u, "srv1", make_unit("ed-1", product="ed", resources=[("bin", 5, "x")]))
+        log = []
+        fleet = build_fleet(u, call_log=log)
+        _, report = orch.push_deploy(u, orch.DeployRequest(target=("s1",), product_id="ed"), fleet)
+        assert report.summary == {"DEPLOYED": 1}
+        assert fleet.call_log is log and len(made) == len(log)
+        assert [(e.tick, e.role, e.actor, e.method, e.detail) for e in log] == [
+            (0, "site", "s1", "get_properties", ""),
+            (0, "site", "s1", "get_constraints", ""),
+            (2, "server", "srv1", "fetch_resource", "ed-1/bin"),
+            (3, "site", "s1", "run_primitive", "transfer unit=ed-1 path=root.0"),
+            (6, "site", "s1", "run_primitive", "install unit=ed-1 path=root.1"),
+            (9, "site", "s1", "run_primitive", "verify unit=ed-1 path=root.2"),
+            (12, "site", "s1", "run_primitive", "activate unit=ed-1 path=root.3"),
+        ]
 
 
 class TestOneSiteFleet:

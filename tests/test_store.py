@@ -425,37 +425,73 @@ class Crash(BaseException):
 
 
 WRITE_POINTS = ("_write_head", "_replace", "_append_index")
+PATH_WRITE_POINTS = ("mkdir", "unlink")  # the lock's own unlink is its release, not a point
 
 
 def crash_at(monkeypatch, k):
-    """Make the ``k``-th call (from 0) of any of ``WRITE_POINTS`` raise
-    ``Crash`` before it writes; None never raises. Returns the names of the
-    calls made."""
+    """Make the ``k``-th call (from 0) of any of ``WRITE_POINTS`` and
+    ``PATH_WRITE_POINTS`` raise ``Crash`` before it writes; None never
+    raises. Returns the names of the calls made."""
     calls = []
-    for name in WRITE_POINTS:
-        def point(*args, _name=name, _real=getattr(universe_mod, name)):
-            if len(calls) == k:
-                raise Crash(_name)
-            calls.append(_name)
-            return _real(*args)
 
-        monkeypatch.setattr(universe_mod, name, point)
+    def at_point(name, real):
+        def point(*args, **kwargs):
+            if not (name == "unlink" and args[0].name == LOCK_FILE):
+                if len(calls) == k:
+                    raise Crash(name)
+                calls.append(name)
+            return real(*args, **kwargs)
+
+        return point
+
+    for name in WRITE_POINTS:
+        monkeypatch.setattr(universe_mod, name, at_point(name, getattr(universe_mod, name)))
+    for name in PATH_WRITE_POINTS:
+        monkeypatch.setattr(Path, name, at_point(name, getattr(Path, name)))
     return calls
 
 
+def crash_template(root):
+    """Sites s0-s2 running u-1 of product p, and s3 with no state yet; u-2 of
+    product q published on srv1, and srv2 with no units."""
+    sites = {f"s{i}": ({"os": "linux", "disk.free": "100GB"}, ()) for i in range(4)}
+    init_universe(root, make_enterprise(sites, servers=("srv1", "srv2")))
+    engine = LocalEngine(root)
+    for req in (
+        {"op": "publish", "server": "srv1", "manifest": unit_to_json(make_unit("u-1", product="p"))},
+        {"op": "deploy", "product": "p", "sites": ["s0", "s1", "s2"]},
+        {"op": "publish", "server": "srv1", "manifest": unit_to_json(make_unit("u-2", product="q"))},
+    ):
+        assert engine.handle(req)["ok"], req
+
+
+# Each op, and a write point it must reach.
 CRASH_OPS = {
-    "toggle": {"op": "deactivate", "site": "s0", "unit": "u-1"},
-    "push": {"op": "deploy", "product": "q", "group": "all"},
+    "toggle": ({"op": "deactivate", "site": "s0", "unit": "u-1"}, "_append_index"),
+    "push": ({"op": "deploy", "product": "q", "sites": ["s0", "s1", "s2"]}, "_append_index"),
+    "first-state": ({"op": "deploy", "product": "p", "sites": ["s3"]}, "mkdir"),
+    "publish-to-empty-server": (
+        {"op": "publish", "server": "srv2", "manifest": unit_to_json(make_unit("u-3", product="r"))}, "mkdir"
+    ),
+    "unpublish": ({"op": "unpublish", "server": "srv1", "unit": "u-2"}, "unlink"),
 }
+
+
+def catalog_ids(u):
+    """Each server's unit ids; a server with none is left out."""
+    return {server: [unit.id for unit in units] for server, units in u.catalog.items() if units}
 
 
 @pytest.mark.parametrize("op", sorted(CRASH_OPS))
 def test_a_crash_at_any_write_point_leaves_a_store_that_opens_and_commits(tmp_path, monkeypatch, op):
     """Every crash point of one commit, in the manner of ALICE (Pillai et al.,
     OSDI 2014, "All File Systems Are Not Created Equal"), run in process: on
-    a fresh copy of a three-site store for each k, the op raises at the k-th
-    head write, document write-and-rename or index append, and the copy is
-    then opened and written again.
+    a fresh copy of a four-site store for each k, the op raises at the k-th
+    head write, document write-and-rename, index append, directory made or
+    file unlinked, and the copy is then opened and written again. Each op
+    names the points it reaches: a push and a toggle write states, records
+    and lines, a first deploy to a site makes its directory, a publish to a
+    server with no units makes the server's, and an unpublish unlinks.
 
     This models a process crash only, where the writes before the raise land
     in order and whole. A power loss can reorder writes, and nothing is
@@ -463,12 +499,11 @@ def test_a_crash_at_any_write_point_leaves_a_store_that_opens_and_commits(tmp_pa
     releases the lock, as the next writer's reclaim of a dead holder's lock
     would."""
     template = tmp_path / "template"
-    engine = small_store(template, sites=3)
-    manifest = unit_to_json(make_unit("u-2", product="q"))
-    assert engine.handle({"op": "publish", "server": "srv1", "manifest": manifest})["ok"]
+    crash_template(template)
     generation = head(template)
+    before = open_universe(template)
     records = {p.name: p.read_bytes() for p in (template / "deployments").glob("*.json")}
-    req = CRASH_OPS[op]
+    req, reaches = CRASH_OPS[op]
 
     whole = tmp_path / "whole"
     shutil.copytree(template, whole)
@@ -476,7 +511,8 @@ def test_a_crash_at_any_write_point_leaves_a_store_that_opens_and_commits(tmp_pa
         calls = crash_at(patch, None)
         assert LocalEngine(whole).handle(req)["ok"]
     after = open_universe(whole)
-    assert len(after.deployments) > len(records)
+    assert universe_digest(after) != universe_digest(before)
+    assert reaches in calls, calls
 
     for k in range(len(calls)):
         root = tmp_path / f"crash{k}"
@@ -496,6 +532,8 @@ def test_a_crash_at_any_write_point_leaves_a_store_that_opens_and_commits(tmp_pa
             assert torn.deployments[rid].canonical_json == after.deployments[rid].canonical_json
             # Its site's state was committed before it.
             assert torn.site_states[site].canonical_json == after.site_states[site].canonical_json
+        for server in catalog_ids(before).keys() | catalog_ids(after).keys():
+            assert catalog_ids(torn).get(server) in (catalog_ids(before).get(server), catalog_ids(after).get(server))
 
         resp = LocalEngine(root).handle({"op": "set_prop", "site": "s1", "name": "crash", "value": f"k{k}"})
         assert resp["ok"], (k, resp)
@@ -728,6 +766,36 @@ class TestRecordIndex:
         assert exc.value.document == "deployments/d000003"
         assert exc.value.reason == "index line does not match record"
 
+    def test_a_service_holds_its_committed_records_as_an_open_does(self, tmp_path, monkeypatch):
+        """After a push, a toggle and a set-prop, every record the engine
+        holds is its line's fields and its text, with no decoded body; a body
+        read decodes the text once and checks it against those fields."""
+        root = tmp_path / "u"
+        engine = small_store(root)  # a push to the four sites
+        assert engine.handle({"op": "deactivate", "site": "s0", "unit": "u-1"})["ok"]
+        assert engine.handle({"op": "set_prop", "site": "s1", "name": "ram", "value": "2GB", "apply": True})["ok"]
+        held, opened = engine.universe.deployments, open_universe(root).deployments
+        assert sorted(held) == sorted(opened) == [f"d{i:06d}" for i in range(SITES + 1)]
+
+        def fields(r):
+            return (r.id, r.site_id, r.product_id, r.unit_id, r.outcome, r.mode, r.canonical_json)
+
+        for rid, record in held.items():
+            assert "_unread" in record.__dict__ and not record.__dict__.keys() & set(universe_mod._BODY), rid
+            assert fields(record) == fields(opened[rid])
+        decodes = count_decodes(monkeypatch)
+        record = held[f"d{SITES:06d}"]
+        assert record.trace == opened[f"d{SITES:06d}"].trace
+        assert record.trace.status.value == record.outcome == "SUCCESS"
+        assert decodes == [f"d{SITES:06d}", f"d{SITES:06d}"]  # the held record once, the opened once
+        # A text that disagrees with the fields held beside it is CORRUPT.
+        other = held["d000001"]
+        other.__dict__["site_id"] = "s3"
+        with pytest.raises(StoreCorruptError) as exc:
+            other.trace
+        assert exc.value.document == "deployments/d000001"
+        assert exc.value.reason == "index line does not match record"
+
     def test_a_writer_killed_before_its_lines_leaves_a_store_that_opens(self, tmp_path, monkeypatch):
         root = tmp_path / "u"
         small_store(root)
@@ -792,7 +860,9 @@ class TestRecordIndex:
         made.clear()
         unit = DeployedUnit("u-1", "prod", Version.parse("1.0"), "ACTIVE")
         store.commit(set_site_state(store.universe, ClientSiteState("s1", (unit,), ("prod",))))
-        assert "state.json" in read and "s1" not in made  # an existing state is compared, its directory kept
+        # An existing state is compared with the base's text, not read back,
+        # and its directory is kept.
+        assert read == [] and "s1" not in made
         assert universe_digest(open_universe(root)) == oracle_digest(store.universe)
 
 

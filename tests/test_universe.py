@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -237,6 +238,17 @@ class TestCorruption:
             open_universe(tmp_path / "u")
         assert exc.value.document == "catalog/srv1/u-1.json"
 
+    def test_a_unit_file_not_named_by_its_id_is_corrupt(self, tmp_path):
+        """A save names a unit's file by its id and unlinks it by that name,
+        so a file holding another unit would outlive its unpublish."""
+        save_universe(populated_universe(), tmp_path / "u")
+        server_dir = tmp_path / "u" / "catalog" / "srv1"
+        (server_dir / "u-1.json").rename(server_dir / "u-9.json")
+        with pytest.raises(StoreCorruptError) as exc:
+            open_universe(tmp_path / "u")
+        assert exc.value.document == "catalog/srv1/u-9.json"
+        assert exc.value.reason == "unit id does not match file name"
+
     def test_cross_validate_catalog_on_client_site(self):
         u = base_universe()
         u = replace(u, catalog={"site1": (make_unit("u-1"),)})
@@ -425,6 +437,27 @@ class TestDigest:
             assert report.universe_digest == oracle_digest(final[-1]), path.name
             assert report.universe_digest == SCENARIO_DIGESTS[path.name], path.name
         assert len(final) == len(SCENARIO_DIGESTS)
+
+    def test_a_digest_holds_a_few_slices_not_the_records(self, tmp_path):
+        """The digest feeds SHA-256 in slices, so its peak is far below the
+        records' text; joining them would hold about three times it."""
+        records = {}
+        for n in range(2000):
+            rid = f"d{n:06d}"
+            records[rid] = replace(make_record(rid), params=(("note", "x" * 600),))
+        u = replace(base_universe(), deployments=records)
+        text = sum(len(record.canonical_json) for record in records.values())
+        save_universe(u, tmp_path / "u")
+        store = Store(tmp_path / "u")  # reopened: its records are their file texts
+        for universe, kept in ((u, None), (store.universe, store)):
+            tracemalloc.start()
+            try:
+                digest = universe_digest(universe, kept)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert digest == oracle_digest(u)
+            assert peak < text / 4, (peak, text)
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_REPORTS))
     def test_scenario_reports_are_unchanged(self, name, capsys):
@@ -909,9 +942,29 @@ class TestSaveOverBase:
         written.clear()
         published = publish_unit(changed, "srv1", make_unit("u-3"))
         store.commit(published)
-        # The server's units tuple changed, so its units are compared again.
-        assert sorted(p.name for p in written) == ["u-1.json", "u-2.json", "u-3.json"]
+        # Only the new unit: the server's others are the base's own values.
+        assert [p.name for p in written] == ["u-3.json"]
         assert universe_digest(open_universe(root)) == universe_digest(published)
+
+    def test_a_publish_reads_no_unit_back_and_an_unpublish_unlinks_by_name(self, tmp_path, monkeypatch):
+        root = tmp_path / "u"
+        u = base_universe()
+        for n in range(10):
+            u = publish_unit(u, "srv1", make_unit(f"u-{n:02d}"))
+        save_universe(u, root)
+        store = Store(root)
+        read, listed = [], []
+        read_bytes, read_file, glob = Path.read_bytes, universe_mod._read_file, Path.glob
+        monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path.name) or read_bytes(path))
+        monkeypatch.setattr(universe_mod, "_read_file", lambda path, *a: read.append(path) or read_file(path, *a))
+        monkeypatch.setattr(Path, "glob", lambda path, pattern: listed.append(path.name) or glob(path, pattern))
+        store.commit(publish_unit(store.universe, "srv1", make_unit("u-10")))
+        store.commit(remove_unit(store.universe, "srv1", "u-03"))
+        assert read == [] and listed == []
+        names = sorted(p.name for p in (root / "catalog" / "srv1").iterdir())
+        assert names == [f"u-{n:02d}.json" for n in range(11) if n != 3]
+        monkeypatch.undo()
+        assert universe_digest(open_universe(root)) == oracle_digest(store.universe)
 
     def test_unpublished_server_is_swept(self, tmp_path):
         root = tmp_path / "u"
